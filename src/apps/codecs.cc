@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <memory>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -21,6 +22,65 @@ std::string format_compact_double(double v) {
   std::snprintf(buf, sizeof(buf), "%.6g", v);
   return buf;
 }
+
+// Builds a string of at most `bound` bytes through `write(char* out) ->
+// char* end` in a scratch buffer, then copies it out at its exact size.
+template <typename Write>
+std::string write_exact(std::size_t bound, Write write) {
+  char stack[1024];
+  std::unique_ptr<char[]> heap;
+  char* buf = stack;
+  if (bound > sizeof(stack)) {
+    heap = std::make_unique_for_overwrite<char[]>(bound);
+    buf = heap.get();
+  }
+  return std::string(buf, write(buf));
+}
+
+// "4294967295:18446744073709551615," — the longest histogram entry.
+constexpr std::size_t kMaxHistogramEntryChars = 10 + 1 + 20 + 1;
+
+// Appends "bucket:count" at `out`, preceded by ',' unless `out` is the
+// start of the text; returns the new end.
+char* append_histogram_entry(char* out, const char* begin,
+                             std::uint32_t bucket, std::uint64_t count) {
+  if (out != begin) *out++ = ',';
+  out = std::to_chars(out, out + 10, bucket).ptr;
+  *out++ = ':';
+  return std::to_chars(out, out + 20, count).ptr;
+}
+
+// Reads "bucket:count,bucket:count,..." entry by entry without copying.
+// Accepts exactly what split-on-',' then parse_u64 on either side of the
+// first ':' accepts, and CHECK-fails on anything else. Buckets are read
+// as u64 and truncated to u32, as the histogram type stores them.
+class HistogramCursor {
+ public:
+  explicit HistogramCursor(std::string_view text)
+      : text_(text), pos_(text.data()), done_(text.empty()) {}
+
+  // Reads the next entry; false once the text is used up.
+  bool next(std::uint32_t* bucket, std::uint64_t* count) {
+    if (done_) return false;
+    const char* const end = text_.data() + text_.size();
+    std::uint64_t wide = 0;
+    const auto [colon, bucket_ec] = std::from_chars(pos_, end, wide);
+    SLIDER_CHECK(bucket_ec == std::errc() && colon != end && *colon == ':')
+        << "bad histogram: " << text_;
+    const auto [stop, count_ec] = std::from_chars(colon + 1, end, *count);
+    SLIDER_CHECK(count_ec == std::errc() && (stop == end || *stop == ','))
+        << "bad histogram: " << text_;
+    *bucket = static_cast<std::uint32_t>(wide);
+    done_ = stop == end;
+    pos_ = done_ ? end : stop + 1;
+    return true;
+  }
+
+ private:
+  std::string_view text_;
+  const char* pos_;
+  bool done_;
+};
 
 }  // namespace
 
@@ -78,30 +138,60 @@ VectorSum add_vector_sums(const VectorSum& a, const VectorSum& b) {
 }
 
 std::string encode_histogram(const Histogram& h) {
-  std::string out;
-  for (const auto& [bucket, count] : h) {
-    if (!out.empty()) out.push_back(',');
-    out += std::to_string(bucket);
-    out.push_back(':');
-    out += std::to_string(count);
-  }
-  return out;
+  return write_exact(h.size() * kMaxHistogramEntryChars, [&](char* out) {
+    char* const begin = out;
+    for (const auto& [bucket, count] : h) {
+      out = append_histogram_entry(out, begin, bucket, count);
+    }
+    return out;
+  });
 }
 
-Histogram decode_histogram(const std::string& value) {
+std::string encode_histogram_entry(std::uint32_t bucket,
+                                   std::uint64_t count) {
+  char buf[kMaxHistogramEntryChars];
+  return std::string(buf, append_histogram_entry(buf, buf, bucket, count));
+}
+
+Histogram decode_histogram(std::string_view value) {
   Histogram h;
-  if (value.empty()) return h;
-  for (const auto entry : split_view(value, ',')) {
-    const auto pos = entry.find(':');
-    SLIDER_CHECK(pos != std::string_view::npos) << "bad histogram: " << value;
-    std::uint64_t bucket = 0;
-    std::uint64_t count = 0;
-    SLIDER_CHECK(parse_u64(entry.substr(0, pos), &bucket) &&
-                 parse_u64(entry.substr(pos + 1), &count))
-        << "bad histogram entry";
-    h.emplace_back(static_cast<std::uint32_t>(bucket), count);
-  }
+  HistogramCursor cursor(value);
+  std::uint32_t bucket = 0;
+  std::uint64_t count = 0;
+  while (cursor.next(&bucket, &count)) h.emplace_back(bucket, count);
   return h;
+}
+
+std::string merge_histogram_text(std::string_view a, std::string_view b) {
+  // Each output entry is no longer than the input entries it came from
+  // (canonical digits never outnumber the text's, a u32-truncated bucket
+  // has at most 10 digits, and a sum has at most one digit more than its
+  // longer addend), so |a| + |b| + 1 bounds the result.
+  return write_exact(a.size() + b.size() + 1, [&](char* out) {
+    char* const begin = out;
+    HistogramCursor ca(a);
+    HistogramCursor cb(b);
+    std::uint32_t bucket_a = 0;
+    std::uint32_t bucket_b = 0;
+    std::uint64_t count_a = 0;
+    std::uint64_t count_b = 0;
+    bool has_a = ca.next(&bucket_a, &count_a);
+    bool has_b = cb.next(&bucket_b, &count_b);
+    while (has_a || has_b) {
+      if (!has_b || (has_a && bucket_a < bucket_b)) {
+        out = append_histogram_entry(out, begin, bucket_a, count_a);
+        has_a = ca.next(&bucket_a, &count_a);
+      } else if (!has_a || bucket_b < bucket_a) {
+        out = append_histogram_entry(out, begin, bucket_b, count_b);
+        has_b = cb.next(&bucket_b, &count_b);
+      } else {
+        out = append_histogram_entry(out, begin, bucket_a, count_a + count_b);
+        has_a = ca.next(&bucket_a, &count_a);
+        has_b = cb.next(&bucket_b, &count_b);
+      }
+    }
+    return out;
+  });
 }
 
 Histogram add_histograms(const Histogram& a, const Histogram& b) {

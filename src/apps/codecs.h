@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace slider::apps {
@@ -41,8 +42,16 @@ VectorSum add_vector_sums(const VectorSum& a, const VectorSum& b);
 using Histogram = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
 
 std::string encode_histogram(const Histogram& h);
-Histogram decode_histogram(const std::string& value);
+// encode_histogram({{bucket, count}}) without building the vector.
+std::string encode_histogram_entry(std::uint32_t bucket, std::uint64_t count);
+// CHECK-fails on malformed text. Buckets wider than u32 are truncated.
+Histogram decode_histogram(std::string_view value);
 Histogram add_histograms(const Histogram& a, const Histogram& b);
+// encode_histogram(add_histograms(decode_histogram(a), decode_histogram(b)))
+// in one pass over both texts, with no intermediate vectors: byte-identical
+// output for every input that chain accepts, a CHECK failure on every input
+// it rejects. The HCT and Glasnost combiners.
+std::string merge_histogram_text(std::string_view a, std::string_view b);
 // Value at the given cumulative quantile (0.5 = median), by bucket index.
 std::uint32_t histogram_quantile(const Histogram& h, double quantile);
 

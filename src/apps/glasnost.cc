@@ -27,7 +27,7 @@ class GlasnostMapper final : public Mapper {
     }
     if (min_rtt < 0) return;
     const auto bucket = static_cast<std::uint32_t>(min_rtt / bucket_ms_);
-    out.emit("srv" + server, encode_histogram({{bucket, 1}}));
+    out.emit("srv" + server, encode_histogram_entry(bucket, 1));
   }
 
  private:
@@ -42,8 +42,7 @@ JobSpec make_glasnost_job(const GlasnostOptions& options) {
   job.mapper = std::make_shared<GlasnostMapper>(options.bucket_ms);
   job.combiner = [](const std::string&, const std::string& a,
                     const std::string& b) {
-    return encode_histogram(
-        add_histograms(decode_histogram(a), decode_histogram(b)));
+    return merge_histogram_text(a, b);
   };
   // Bucket-wise integer addition; multi-bucket encoding, no flat kernel.
   job.traits.commutative = true;

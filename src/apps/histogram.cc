@@ -22,7 +22,7 @@ class HistogramMapper final : public Mapper {
       const auto bucket = static_cast<std::uint32_t>(
           i * static_cast<std::size_t>(buckets_) / std::max<std::size_t>(
               1, words.size()));
-      out.emit(std::string(words[i]), encode_histogram({{bucket, 1}}));
+      out.emit(std::string(words[i]), encode_histogram_entry(bucket, 1));
     }
   }
 
@@ -38,8 +38,7 @@ JobSpec make_histogram_job(const HistogramOptions& options) {
   job.mapper = std::make_shared<HistogramMapper>(options.buckets);
   job.combiner = [](const std::string&, const std::string& a,
                     const std::string& b) {
-    return encode_histogram(
-        add_histograms(decode_histogram(a), decode_histogram(b)));
+    return merge_histogram_text(a, b);
   };
   // Bucket-wise integer addition: exact algebra, but the multi-bucket
   // encoding has no single fixed-width lane, so no flat kernel.

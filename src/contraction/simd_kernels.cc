@@ -1,12 +1,9 @@
 #include "contraction/simd_kernels.h"
 
-#include <cstdlib>
+#include "common/simd_gate.h"
 
-#if !defined(SLIDER_DISABLE_SIMD) && defined(__x86_64__)
-#define SLIDER_SIMD_X86 1
+#if SLIDER_SIMD_X86
 #include <immintrin.h>
-#else
-#define SLIDER_SIMD_X86 0
 #endif
 
 namespace slider::simd {
@@ -89,11 +86,8 @@ __attribute__((target("avx2"))) void avx2_min(std::uint64_t* dst,
 
 bool use_avx2() {
 #if SLIDER_SIMD_X86
-  static const bool enabled = [] {
-    const char* env = std::getenv("SLIDER_SIMD");
-    if (env != nullptr && env[0] == '0' && env[1] == '\0') return false;
-    return __builtin_cpu_supports("avx2") != 0;
-  }();
+  static const bool enabled =
+      simd_enabled() && __builtin_cpu_supports("avx2") != 0;
   return enabled;
 #else
   return false;

@@ -4,26 +4,16 @@
 #include <limits>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 
 namespace slider::flat {
 namespace {
 
-// Canonical unsigned-decimal parse: digits only, no leading zeros except
-// the single digit "0", no overflow past UINT64_MAX.
+// Canonical unsigned-decimal parse: parse_u64 without leading zeros
+// (except the single digit "0").
 bool parse_canonical_u64(std::string_view text, std::uint64_t* out) {
-  if (text.empty()) return false;
   if (text.size() > 1 && text.front() == '0') return false;
-  std::uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    const auto digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
-      return false;
-    }
-    value = value * 10 + digit;
-  }
-  *out = value;
-  return true;
+  return parse_u64(text, out);
 }
 
 // Canonical signed-decimal parse; rejects "-0" and magnitudes outside

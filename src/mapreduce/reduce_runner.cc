@@ -37,8 +37,11 @@ ReduceOutput run_reduce(const JobSpec& job, const KVTable& combined) {
     }
   }
   out.keys_out = rows.size();
-  // Rows are already sorted and unique; from_records will not combine.
-  out.table = KVTable::from_records(std::move(rows), job.combiner);
+  // The output table outlives the slide; where the reducer dropped keys,
+  // release the capacity reserved for them.
+  rows.shrink_to_fit();
+  // A subset of combined's rows, in its order: still sorted and unique.
+  out.table = KVTable::from_sorted_unique(std::move(rows));
   out.cpu_cost =
       job.costs.reduce_cpu_per_row * static_cast<double>(out.keys_in);
   return out;

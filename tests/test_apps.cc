@@ -4,11 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <string_view>
+
 #include "apps/codecs.h"
 #include "apps/glasnost.h"
 #include "apps/microbench.h"
 #include "apps/netsession.h"
 #include "apps/twitter.h"
+#include "common/rng.h"
 #include "common/string_util.h"
 #include "mapreduce/engine.h"
 
@@ -38,6 +43,80 @@ TEST(Codecs, HistogramRoundTripAddQuantile) {
   EXPECT_EQ(sum.size(), 4u);
   EXPECT_EQ(histogram_quantile(h, 0.5), 4u);
   EXPECT_EQ(histogram_quantile({}, 0.5), 0u);
+}
+
+// The histogram decoder before the fused merge: split on ',', then
+// parse_u64 either side of the first ':'. nullopt where it CHECK-failed.
+std::optional<Histogram> split_decode_histogram(std::string_view text) {
+  Histogram h;
+  if (text.empty()) return h;
+  for (const auto entry : split_view(text, ',')) {
+    const auto pos = entry.find(':');
+    std::uint64_t bucket = 0;
+    std::uint64_t count = 0;
+    if (pos == std::string_view::npos ||
+        !parse_u64(entry.substr(0, pos), &bucket) ||
+        !parse_u64(entry.substr(pos + 1), &count)) {
+      return std::nullopt;
+    }
+    h.emplace_back(static_cast<std::uint32_t>(bucket), count);
+  }
+  return h;
+}
+
+// A histogram text as a mapper or merge could write it, or not: sorted or
+// not, with repeated buckets, leading zeros, buckets past u32 (truncated
+// on decode) and counts near UINT64_MAX (sums wrap).
+std::string random_histogram_text(Rng& rng) {
+  std::string text;
+  const std::uint64_t entries = rng.next_below(10);
+  std::uint64_t bucket = rng.next_below(4);
+  for (std::uint64_t e = 0; e < entries; ++e) {
+    if (rng.next_bool(0.9)) bucket += 1 + rng.next_below(3);
+    if (rng.next_bool(0.05)) bucket = rng.next_below(bucket + 1);
+    std::uint64_t written = bucket;
+    if (rng.next_bool(0.1)) written += (1 + rng.next_below(5)) << 32;
+    std::uint64_t count = 1 + rng.next_below(20);
+    if (rng.next_bool(0.1)) count = UINT64_MAX - rng.next_below(20);
+    if (!text.empty()) text.push_back(',');
+    if (rng.next_bool(0.1)) text.append(1 + rng.next_below(3), '0');
+    text += std::to_string(written);
+    text.push_back(':');
+    if (rng.next_bool(0.1)) text.append(1 + rng.next_below(3), '0');
+    text += std::to_string(count);
+  }
+  return text;
+}
+
+TEST(Codecs, HistogramMergeMatchesDecodeAddEncode) {
+  Rng rng(13);
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::string a = random_histogram_text(rng);
+    const std::string b = random_histogram_text(rng);
+    const auto ha = split_decode_histogram(a);
+    const auto hb = split_decode_histogram(b);
+    ASSERT_TRUE(ha.has_value() && hb.has_value()) << a << " | " << b;
+    EXPECT_EQ(decode_histogram(a), *ha) << a;
+    EXPECT_EQ(merge_histogram_text(a, b),
+              encode_histogram(add_histograms(*ha, *hb)))
+        << a << " | " << b;
+  }
+  EXPECT_EQ(merge_histogram_text("", ""), "");
+  EXPECT_EQ(merge_histogram_text("007:01", ""), "7:1");
+  EXPECT_EQ(merge_histogram_text("4294967298:1", "2:5"), "2:6");
+  EXPECT_EQ(merge_histogram_text("1:18446744073709551615", "1:2"), "1:1");
+  EXPECT_EQ(encode_histogram_entry(4294967295u, UINT64_MAX),
+            "4294967295:18446744073709551615");
+}
+
+TEST(CodecsDeathTest, MalformedHistogramTextIsFatal) {
+  for (const char* bad : {"1:2,", ":3", "1:x", ",", "1", "1:", "1:2:3",
+                          "+1:2", "1:18446744073709551616"}) {
+    ASSERT_FALSE(split_decode_histogram(bad).has_value()) << bad;
+    EXPECT_DEATH(merge_histogram_text(bad, "1:1"), "bad histogram") << bad;
+    EXPECT_DEATH(merge_histogram_text("", bad), "bad histogram") << bad;
+    EXPECT_DEATH(decode_histogram(bad), "bad histogram") << bad;
+  }
 }
 
 TEST(Codecs, TopKRoundTripAndBound) {
@@ -281,6 +360,16 @@ TEST(NetSessionCaseStudy, FlagsViolatorsOnly) {
   }
   EXPECT_GT(flagged, 0u);
   EXPECT_GT(ok, flagged);  // violators are the minority
+}
+
+TEST(NetSessionCaseStudy, OversizedCounterDropsTheRow) {
+  const JobSpec job = make_netsession_job();
+  Emitter out;
+  job.mapper->map({"0", "7,1,18446744073709551615,2,0"}, out);
+  job.mapper->map({"1", "7,1,18446744073709551616,2,0"}, out);
+  const auto emitted = out.take();
+  ASSERT_EQ(emitted.size(), 1u);
+  EXPECT_EQ(emitted[0].value, "1,18446744073709551615,2,0");
 }
 
 TEST(NetSessionGenerator, UploadFractionShrinksWeek) {

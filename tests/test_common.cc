@@ -100,6 +100,20 @@ TEST(StringUtil, ParseU64) {
   EXPECT_FALSE(parse_u64("", &v));
   EXPECT_FALSE(parse_u64("12a", &v));
   EXPECT_FALSE(parse_u64("-3", &v));
+  EXPECT_FALSE(parse_u64("+3", &v));
+  EXPECT_TRUE(parse_u64("007", &v));
+  EXPECT_EQ(v, 7u);
+}
+
+TEST(StringUtil, ParseU64RejectsOverflow) {
+  std::uint64_t v = 0;
+  EXPECT_TRUE(parse_u64("18446744073709551615", &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  v = 42;
+  EXPECT_FALSE(parse_u64("18446744073709551616", &v));
+  EXPECT_FALSE(parse_u64("99999999999999999999", &v));
+  EXPECT_FALSE(parse_u64("100000000000000000000000", &v));
+  EXPECT_EQ(v, 42u);
 }
 
 TEST(StringUtil, Formatting) {

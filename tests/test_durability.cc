@@ -89,6 +89,33 @@ TEST(Crc32c, IncrementalMatchesOneShot) {
   }
 }
 
+TEST(Crc32c, DispatchedPathMatchesTable) {
+  // Every length 0-300 at every start offset mod 8, so the hardware path's
+  // 8-byte loads meet every alignment and every byte-tail length. Where
+  // SIMD is compiled out or off, both sides run the table loop.
+  std::string buffer(300 + 8, '\0');
+  for (std::size_t i = 0; i < buffer.size(); ++i) {
+    buffer[i] = static_cast<char>(i * 131 + 7);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 300; ++length) {
+      const std::string_view data(buffer.data() + offset, length);
+      const std::uint32_t expected = crc32c_portable(data);
+      ASSERT_EQ(crc32c(data), expected) << offset << "+" << length;
+      ASSERT_EQ(crc32c(data, 0xDEADBEEFu), crc32c_portable(data, 0xDEADBEEFu))
+          << offset << "+" << length;
+      const std::size_t split = length * 3 / 7;
+      ASSERT_EQ(crc32c(data.substr(split), crc32c(data.substr(0, split))),
+                expected)
+          << offset << "+" << length << " split " << split;
+      ASSERT_EQ(crc32c_portable(data.substr(split),
+                                crc32c(data.substr(0, split))),
+                expected)
+          << offset << "+" << length << " split " << split;
+    }
+  }
+}
+
 // --- segment log -----------------------------------------------------------
 
 TEST_F(DurabilityTest, SegmentLogRoundTrip) {
