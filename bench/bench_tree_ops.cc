@@ -99,7 +99,7 @@ void slide_bench(benchmark::State& state) {
     TreeUpdateStats slide_stats;
     tree.apply_delta(1, bench_leaves(1, next), &slide_stats);
     ++next;
-    merges += slide_stats.combiner_invocations;
+    merges += slide_stats.attributed.total().combiner_invocations;
     ++slides;
   }
   state.counters["merges/slide"] =

@@ -1,7 +1,5 @@
 #include "contraction/coalescing_tree.h"
 
-#include <deque>
-
 #include "common/logging.h"
 #include "contraction/tree_common.h"
 #include "data/serde.h"
@@ -14,51 +12,11 @@ namespace slider {
 // from the session's per-partition loop (see docs/threading.md).
 CoalescingTree::Node CoalescingTree::fold_leaves(std::vector<Leaf> leaves,
                                                  TreeUpdateStats* stats) {
-  SLIDER_CHECK(!leaves.empty()) << "empty append batch";
-  // The node's identity is the order-sensitive chain over the leaf ids
-  // (stable regardless of merge order); the payload is merged in balanced
-  // order so the batch combine costs O(rows · log n), like the single
-  // large Combiner invocation of Fig 5, not a quadratic left-fold.
-  // Batch fold is leaf-level work.
+  // One fold record per append batch: the tree's reuse granularity. Batch
+  // fold is leaf-level work.
   if (stats != nullptr) stats->level = 0;
-  Node node;
-  node.id = leaf_node_id(ctx_, leaves[0].split_id, *leaves[0].table);
-  std::deque<std::shared_ptr<const KVTable>> queue;
-  queue.push_back(leaves[0].table);
-  for (std::size_t i = 1; i < leaves.size(); ++i) {
-    node.id = internal_node_id(
-        ctx_, node.id, leaf_node_id(ctx_, leaves[i].split_id, *leaves[i].table));
-    queue.push_back(leaves[i].table);
-  }
-  std::uint64_t fold_rows = 0;
-  while (queue.size() > 1) {
-    auto a = std::move(queue.front());
-    queue.pop_front();
-    auto b = std::move(queue.front());
-    queue.pop_front();
-    MergeStats merge_stats;
-    queue.push_back(std::make_shared<const KVTable>(
-        KVTable::merge(*a, *b, combiner_, &merge_stats)));
-    if (stats != nullptr) {
-      stats->charge_invocation(merge_stats.rows_scanned);
-      fold_rows += merge_stats.rows_scanned;
-    }
-  }
-  node.table = std::move(queue.front());
-  const SimDuration write_before =
-      stats != nullptr ? stats->memo_write_cost : 0;
-  memoize_payload(ctx_, node.id, node.table, stats);
-  if (stats != nullptr && stats->record_lineage) {
-    // One fold record per append batch: the tree's reuse granularity.
-    record_lineage_node(ctx_, stats, node.id,
-                        leaves.size() > 1 ? obs::LineageOp::kMerge
-                                          : obs::LineageOp::kLeaf,
-                        stats->cause,
-                        static_cast<std::uint32_t>(leaves.size() - 1),
-                        *node.table, fold_rows,
-                        stats->memo_write_cost - write_before, {});
-  }
-  return node;
+  FoldedBatch folded = fold_batch(ctx_, combiner_, leaves, stats);
+  return Node{folded.id, std::move(folded.table)};
 }
 
 void CoalescingTree::initial_build(std::vector<Leaf> leaves,

@@ -152,19 +152,36 @@ void FlatAggregator::add_element(Element element, TreeUpdateStats* stats) {
     }
   }
 
-  stats->charge_visits(1);
-  stats->charge_invocation(element.table->size());
-  const SimDuration write_before = stats->memo_write_cost;
-  memoize_payload(ctx_, element.id, element.table, stats);
-  if (stats->record_lineage) {
-    // One invocation per inserted element: the lane update is the flat
-    // tier's analogue of a leaf-level combine over the element's rows.
-    record_lineage_node(ctx_, stats, element.id, obs::LineageOp::kLeaf,
-                        stats->cause, 1, *element.table,
-                        element.table->size(),
-                        stats->memo_write_cost - write_before, {});
-  }
+  // One invocation per inserted element: the lane update is the flat
+  // tier's analogue of a leaf-level combine over the element's rows.
+  const MemoWriteResult write =
+      memoize_payload(ctx_, element.id, element.table);
+  stats->charge({.op = obs::LineageOp::kLeaf,
+                 .cause = stats->cause,
+                 .id = element.id,
+                 .table = element.table.get(),
+                 .invocations = 1,
+                 .rows = element.table->size(),
+                 .memo_cost = write.cost,
+                 .memo_bytes = write.bytes_written,
+                 .visits = 1});
   elements_.push_back(std::move(element));
+}
+
+void FlatAggregator::charge_fold(const Element& e, TreeUpdateStats* stats) {
+  // Folding an element into the suffix partials, or subtracting it from
+  // the running sum, is a passthrough-style re-execution over its rows.
+  // The visit bills to the run's cause, the fold to the removal's.
+  stats->charge(
+      {.op = obs::LineageOp::kVisit, .cause = stats->cause, .visits = 1});
+  const NodeId kids[] = {e.id};
+  stats->charge({.op = obs::LineageOp::kPassthrough,
+                 .cause = stats->passthrough_cause,
+                 .id = e.id,
+                 .table = e.table.get(),
+                 .invocations = 1,
+                 .rows = e.table->size(),
+                 .children = kids});
 }
 
 void FlatAggregator::swap_stacks(TreeUpdateStats* stats) {
@@ -185,14 +202,7 @@ void FlatAggregator::swap_stacks(TreeUpdateStats* stats) {
       simd::bulk_min_u64(acc.data(), lanes.data(), e.dense_width);
     }
     partials.push_front(acc);
-    stats->charge_visits(1);
-    stats->charge_passthrough_invocation(e.table->size());
-    if (stats->record_lineage) {
-      const NodeId kids[] = {e.id};
-      record_lineage_node(ctx_, stats, e.id, obs::LineageOp::kPassthrough,
-                          stats->passthrough_cause, 1, *e.table,
-                          e.table->size(), 0, kids);
-    }
+    charge_fold(e, stats);
   }
   front_partials_ = std::move(partials);
   front_remaining_ = n;
@@ -211,27 +221,19 @@ void FlatAggregator::evict_front(TreeUpdateStats* stats) {
         running_[e.key_idx[j]] -= e.values[j];
       }
     }
-    stats->charge_visits(1);
-    stats->charge_passthrough_invocation(e.table->size());
-    if (stats->record_lineage) {
-      const NodeId kids[] = {e.id};
-      record_lineage_node(ctx_, stats, e.id, obs::LineageOp::kPassthrough,
-                          stats->passthrough_cause, 1, *e.table,
-                          e.table->size(), 0, kids);
-    }
+    charge_fold(e, stats);
   } else {
     if (front_remaining_ == 0) swap_stacks(stats);
     front_partials_.pop_front();
     --front_remaining_;
     // The pop consumes a precomputed partial: an O(1) reuse, no combiner
     // work of its own.
-    stats->charge_visits(1);
-    stats->charge_reuse();
-    if (stats->record_lineage) {
-      const Element& front = elements_.front();
-      record_lineage_node(ctx_, stats, front.id, obs::LineageOp::kReuse,
-                          stats->cause, 0, *front.table, 0, 0, {});
-    }
+    const Element& front = elements_.front();
+    stats->charge({.op = obs::LineageOp::kReuse,
+                   .cause = stats->cause,
+                   .id = front.id,
+                   .table = front.table.get(),
+                   .visits = 1});
   }
   for (const std::uint32_t k : elements_.front().key_idx) {
     if (--counts_[k] == 0) root_order_dirty_ = true;
@@ -297,7 +299,8 @@ void FlatAggregator::maybe_compact(TreeUpdateStats* stats) {
   }
   rebuild_aggregates();
   root_order_dirty_ = true;  // directory indices just moved
-  stats->charge_visits(1);
+  stats->charge(
+      {.op = obs::LineageOp::kVisit, .cause = stats->cause, .visits = 1});
 }
 
 std::vector<flat::Lane> FlatAggregator::window_lanes() const {
@@ -342,23 +345,29 @@ void FlatAggregator::rebuild_root(TreeUpdateStats* stats) {
   if (stats != nullptr) {
     // The output materialization is the tier's one per-run combine pass —
     // the flat analogue of a tree's root recomputation.
-    stats->charge_visits(1);
-    stats->charge_invocation(root_->size());
+    // The root id and child list exist only for the lineage record, so a
+    // disarmed run builds neither.
+    std::vector<NodeId> kids;
     if (stats->record_lineage) {
       // Root id mirrors describe(): the context seed folded with every
       // live element id, so the lineage, /tree, and dot views agree.
       NodeId rid = hash_combine(ctx_.job_hash,
                                 static_cast<std::uint64_t>(ctx_.partition));
-      std::vector<NodeId> kids;
       kids.reserve(elements_.size());
       for (const Element& e : elements_) {
         rid = hash_combine(rid, e.id);
         kids.push_back(e.id);
       }
-      record_lineage_node(ctx_, stats, rid, obs::LineageOp::kMerge,
-                          stats->cause, 1, *root_, root_->size(), 0, kids);
       last_root_id_ = rid;
     }
+    stats->charge({.op = obs::LineageOp::kMerge,
+                   .cause = stats->cause,
+                   .id = last_root_id_,
+                   .table = root_.get(),
+                   .invocations = 1,
+                   .rows = root_->size(),
+                   .children = kids,
+                   .visits = 1});
   }
 }
 
@@ -420,13 +429,11 @@ void FlatAggregator::apply_delta(std::size_t remove_front,
   // The surviving window rides on the standing aggregate — the flat
   // tier's analogue of a memoized-subtree hit.
   if (!elements_.empty()) {
-    stats->charge_reuse();
-    if (stats->record_lineage) {
-      const KVTable& standing =
-          root_ != nullptr ? *root_ : *elements_.front().table;
-      record_lineage_node(ctx_, stats, last_root_id_, obs::LineageOp::kReuse,
-                          stats->cause, 0, standing, 0, 0, {});
-    }
+    stats->charge({.op = obs::LineageOp::kReuse,
+                   .cause = stats->cause,
+                   .id = last_root_id_,
+                   .table = root_ != nullptr ? root_.get()
+                                             : elements_.front().table.get()});
   }
   for (std::size_t i = 0; i < added.size(); ++i) {
     Element e;

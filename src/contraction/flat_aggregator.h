@@ -21,9 +21,9 @@
 //     with zero live occurrences filtered out.
 //
 // Composition with the rest of the stack:
-//   * charges flow through TreeUpdateStats' charge_* helpers only, so the
-//     causal work ledger's conservation property holds with the tier
-//     engaged (inserts bill to the window_add cause, evictions and swap
+//   * charges flow through TreeUpdateStats::charge only, so the causal
+//     work ledger and the lineage see the tier's work like any tree's
+//     (inserts bill to the window_add cause, evictions and swap
 //     refolds to window_remove, the standing aggregate's reuse shows up in
 //     the memo hit-rate gauges);
 //   * element payloads are memoized under their leaf node ids, so GC,
@@ -110,6 +110,8 @@ class FlatAggregator : public ContractionTree {
   const std::vector<flat::Lane>& stage(const Element& element);
   void add_element(Element element, TreeUpdateStats* stats);
   void evict_front(TreeUpdateStats* stats);
+  // Charges the refold of element `e` out of (or into) the aggregates.
+  void charge_fold(const Element& e, TreeUpdateStats* stats);
   // Two-stacks swap: move every back-stack element to the front stack,
   // computing suffix partials newest-to-oldest.
   void swap_stacks(TreeUpdateStats* stats);

@@ -164,7 +164,11 @@ void FoldingTree::recompute_paths(std::vector<std::size_t> dirty_leaves,
     auto process = [&](std::size_t idx) {
       const std::size_t j = next[idx];
       TreeUpdateStats* node_stats = stats != nullptr ? &local[idx] : nullptr;
-      if (node_stats != nullptr) node_stats->charge_visits();
+      if (node_stats != nullptr) {
+        node_stats->charge({.op = obs::LineageOp::kVisit,
+                            .cause = node_stats->cause,
+                            .visits = 1});
+      }
       Slot& left = levels_[k - 1][2 * j];
       Slot& right = levels_[k - 1][2 * j + 1];
       Slot& node = levels_[k][j];

@@ -117,7 +117,11 @@ void RandomizedFoldingTree::contract(std::vector<Entry> level,
       }
       std::span<Entry> members(level.data() + group.begin,
                                group.end - group.begin);
-      if (group_stats != nullptr) group_stats->charge_visits(members.size());
+      if (group_stats != nullptr) {
+        group_stats->charge({.op = obs::LineageOp::kVisit,
+                             .cause = group_stats->cause,
+                             .visits = members.size()});
+      }
       NodeId group_id = members[0].id;
       for (std::size_t m = 1; m < members.size(); ++m) {
         group_id = internal_node_id(ctx_, group_id, members[m].id);
@@ -132,10 +136,10 @@ void RandomizedFoldingTree::contract(std::vector<Entry> level,
         parent.table = it->second;
         parent.recomputed = false;
         if (group_stats != nullptr) {
-          group_stats->charge_reuse();
-          record_lineage_node(ctx_, group_stats, parent.id,
-                              obs::LineageOp::kReuse, group_stats->cause, 0,
-                              *parent.table, 0, 0, {});
+          group_stats->charge({.op = obs::LineageOp::kReuse,
+                               .cause = group_stats->cause,
+                               .id = parent.id,
+                               .table = parent.table.get()});
         }
       } else if (members.size() == 1) {
         // Singleton group: a passthrough combiner re-execution when its
@@ -196,28 +200,13 @@ void RandomizedFoldingTree::contract(std::vector<Entry> level,
                          ? members[m].table
                          : fetch_reused(ctx_, members[m].id, members[m].table,
                                         group_stats);
-          MergeStats merge_stats;
-          acc = std::make_shared<const KVTable>(
-              KVTable::merge(*acc, *rhs, combiner_, &merge_stats));
           const NodeId prev_id = chain_id;
           chain_id = internal_node_id(ctx_, chain_id, members[m].id);
-          if (group_stats != nullptr) {
-            group_stats->charge_invocation(merge_stats.rows_scanned);
-          }
           // Memoize the partial chain too, so a future run whose group
           // extends this one restarts from here. Partials stay live until
           // their group dissolves.
-          const SimDuration write_before =
-              group_stats != nullptr ? group_stats->memo_write_cost : 0;
-          memoize_payload(ctx_, chain_id, acc, group_stats);
-          if (group_stats != nullptr && group_stats->record_lineage) {
-            const NodeId kids[] = {prev_id, members[m].id};
-            record_lineage_node(ctx_, group_stats, chain_id,
-                                obs::LineageOp::kMerge, group_stats->cause, 1,
-                                *acc, merge_stats.rows_scanned,
-                                group_stats->memo_write_cost - write_before,
-                                kids);
-          }
+          acc = combine_and_memoize(ctx_, combiner_, chain_id, *acc, *rhs,
+                                    group_stats, prev_id, members[m].id);
           result.inserts.emplace_back(chain_id, acc);
         }
         SLIDER_CHECK(chain_id == parent.id) << "group chain id mismatch";

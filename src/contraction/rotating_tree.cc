@@ -1,7 +1,6 @@
 #include "contraction/rotating_tree.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -21,50 +20,12 @@ std::size_t pow2_at_least(std::size_t n) {
 
 RotatingTree::Bucket RotatingTree::build_bucket(std::span<Leaf> leaves,
                                                 TreeUpdateStats* stats) {
-  SLIDER_CHECK(!leaves.empty()) << "empty bucket";
-  // Identity: order-sensitive chain over the leaf ids; payload: balanced
-  // merge, O(rows · log w) instead of a quadratic left-fold.
-  Bucket bucket;
-  bucket.split_count = leaves.size();
-  if (stats != nullptr) stats->level = 0;  // bucket build is leaf-level work
-  bucket.id = leaf_node_id(ctx_, leaves[0].split_id, *leaves[0].table);
-  std::deque<std::shared_ptr<const KVTable>> queue;
-  queue.push_back(leaves[0].table);
-  for (std::size_t i = 1; i < leaves.size(); ++i) {
-    bucket.id = internal_node_id(
-        ctx_, bucket.id, leaf_node_id(ctx_, leaves[i].split_id, *leaves[i].table));
-    queue.push_back(leaves[i].table);
-  }
-  std::uint64_t fold_rows = 0;
-  while (queue.size() > 1) {
-    auto a = std::move(queue.front());
-    queue.pop_front();
-    auto b = std::move(queue.front());
-    queue.pop_front();
-    MergeStats merge_stats;
-    queue.push_back(std::make_shared<const KVTable>(
-        KVTable::merge(*a, *b, combiner_, &merge_stats)));
-    if (stats != nullptr) {
-      stats->charge_invocation(merge_stats.rows_scanned);
-      fold_rows += merge_stats.rows_scanned;
-    }
-  }
-  bucket.table = std::move(queue.front());
-  const SimDuration write_before =
-      stats != nullptr ? stats->memo_write_cost : 0;
-  memoize_payload(ctx_, bucket.id, bucket.table, stats);
-  if (stats != nullptr && stats->record_lineage) {
-    // One fold record for the whole bucket: the rotating tree's reuse
-    // granularity is the bucket, so its lineage granularity is too.
-    record_lineage_node(ctx_, stats, bucket.id,
-                        leaves.size() > 1 ? obs::LineageOp::kMerge
-                                          : obs::LineageOp::kLeaf,
-                        stats->cause,
-                        static_cast<std::uint32_t>(leaves.size() - 1),
-                        *bucket.table, fold_rows,
-                        stats->memo_write_cost - write_before, {});
-  }
-  return bucket;
+  // One fold record for the whole bucket: the rotating tree's reuse
+  // granularity is the bucket, so its lineage granularity is too. Bucket
+  // build is leaf-level work.
+  if (stats != nullptr) stats->level = 0;
+  FoldedBatch folded = fold_batch(ctx_, combiner_, leaves, stats);
+  return Bucket{folded.id, std::move(folded.table), leaves.size()};
 }
 
 void RotatingTree::initial_build(std::vector<Leaf> leaves,
@@ -149,7 +110,11 @@ void RotatingTree::initial_build(std::vector<Leaf> leaves,
     auto process = [&](std::size_t idx) {
       const std::size_t j = next[idx];
       TreeUpdateStats* node_stats = stats != nullptr ? &local[idx] : nullptr;
-      if (node_stats != nullptr) node_stats->charge_visits();
+      if (node_stats != nullptr) {
+        node_stats->charge({.op = obs::LineageOp::kVisit,
+                            .cause = node_stats->cause,
+                            .visits = 1});
+      }
       Slot& left = levels_[k - 1][2 * j];
       Slot& right = levels_[k - 1][2 * j + 1];
       Slot& node = levels_[k][j];
@@ -214,7 +179,8 @@ void RotatingTree::install_bucket(std::size_t slot_index, Bucket bucket,
     index /= 2;
     if (stats != nullptr) {
       stats->level = static_cast<std::uint16_t>(k);
-      stats->charge_visits();
+      stats->charge(
+          {.op = obs::LineageOp::kVisit, .cause = stats->cause, .visits = 1});
     }
     Slot& left = levels_[k - 1][2 * index];
     Slot& right = levels_[k - 1][2 * index + 1];

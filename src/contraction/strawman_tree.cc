@@ -39,7 +39,8 @@ StrawmanTree::Built StrawmanTree::build_range(std::size_t lo, std::size_t hi,
   // recursion is serial, so mutating the shared stats' level is safe.
   if (stats != nullptr) {
     stats->level = static_cast<std::uint16_t>(std::bit_width(hi - lo - 1));
-    stats->charge_visits();
+    stats->charge(
+        {.op = obs::LineageOp::kVisit, .cause = stats->cause, .visits = 1});
   }
   if (hi - lo == 1) {
     const Leaf& leaf = leaves_[lo];
@@ -49,9 +50,10 @@ StrawmanTree::Built StrawmanTree::build_range(std::size_t lo, std::size_t hi,
     if (it != memo_.end()) {
       built.table = it->second;
       if (stats != nullptr) {
-        stats->charge_reuse();
-        record_lineage_node(ctx_, stats, built.id, obs::LineageOp::kReuse,
-                            stats->cause, 0, *built.table, 0, 0, {});
+        stats->charge({.op = obs::LineageOp::kReuse,
+                       .cause = stats->cause,
+                       .id = built.id,
+                       .table = built.table.get()});
       }
     } else {
       built.table = leaf.table;
@@ -77,9 +79,10 @@ StrawmanTree::Built StrawmanTree::build_range(std::size_t lo, std::size_t hi,
   if (it != memo_.end() && !left.recomputed && !right.recomputed) {
     built.table = it->second;
     if (stats != nullptr) {
-      stats->charge_reuse();
-      record_lineage_node(ctx_, stats, built.id, obs::LineageOp::kReuse,
-                          stats->cause, 0, *built.table, 0, 0, {});
+      stats->charge({.op = obs::LineageOp::kReuse,
+                     .cause = stats->cause,
+                     .id = built.id,
+                     .table = built.table.get()});
     }
     live_.insert(built.id);
     return built;

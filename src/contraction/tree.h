@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -40,56 +41,72 @@ struct Leaf {
   std::shared_ptr<const KVTable> table;
 };
 
+// One unit of billed tree work. Every tree variant and the flat tier bill
+// through TreeUpdateStats::charge() with one of these, and nothing else
+// bumps a work counter.
+//
+//   op           kMerge / kPassthrough / kLeaf: executed or new payload;
+//                kReuse: a memoized payload served as-is; kVisit: a node
+//                touched (id + memo lookup) with no work of its own
+//   invocations  combiner invocations executed (a bucket fold bills n-1)
+//   rows         rows those invocations scanned (cost-model units)
+//   memo_cost    sim cost of the memo read (kReuse) or write (otherwise)
+//   memo_bytes   bytes of that read or write
+//   visits       nodes touched; any op may carry them
+//
+// `id`, `table` and `children` feed only the lineage record of an armed
+// session; a disarmed caller may leave `children` empty.
+struct TreeCharge {
+  obs::LineageOp op = obs::LineageOp::kMerge;
+  obs::WorkCause cause = obs::WorkCause::kInitialBuild;
+  NodeId id = 0;
+  const KVTable* table = nullptr;
+  std::uint32_t invocations = 0;
+  std::uint64_t rows = 0;
+  SimDuration memo_cost = 0;
+  std::uint64_t memo_bytes = 0;
+  std::span<const NodeId> children = {};
+  std::uint64_t visits = 0;
+};
+
 // Accounting for one tree operation (initial build, delta, background).
 //
-// Besides the aggregate counters, every charge is attributed to its
-// WorkCause and tree level (the causal work ledger). The charge_* helpers
-// update aggregate and attributed cells in lockstep, so the conservation
-// property "Σ per-cause combiner invocations == combiner_invocations"
-// holds by construction; tree code must charge through them, never by
-// incrementing the counters directly.
+// Work is billed per (WorkCause, tree level) cell — the causal work ledger
+// — through charge(), the single entry for tree work: it bumps the cell,
+// appends the NodeLineage record when armed, and emits the trace event.
+// Run totals are `attributed.total()`.
 //
-// `cause` / `passthrough_cause` / `level` form the *charge context*: the
-// session sets the causes before calling into a tree (window_add vs
-// recovery_replay vs background_preprocess, with passthrough work — the
-// voided-path re-executions of Fig 2 — attributed to window_remove); the
-// tree maintains `level` as it walks. at_level() derives the per-node
-// partial-stats objects the parallel level loops fold in index order.
+// `cause` / `passthrough_cause` / `level` / `record_lineage` form the
+// *charge context*: the session sets the causes before calling into a tree
+// (window_add vs recovery_replay vs background_preprocess, with
+// passthrough work — the voided-path re-executions of Fig 2 — attributed
+// to window_remove) and arms lineage when a ProvenanceRecorder is
+// attached; the tree maintains `level` as it walks. at_level() derives the
+// per-node partial-stats objects the parallel level loops fold in index
+// order.
 struct TreeUpdateStats {
-  std::uint64_t combiner_invocations = 0;  // merges actually executed
-  std::uint64_t combiner_reused = 0;       // memoized nodes reused as-is
-  // Nodes touched at all (id computation + memo lookup). The strawman's
-  // linear-with-small-constant behaviour shows up here: it visits every
-  // node every run even when almost nothing recomputes.
-  std::uint64_t nodes_visited = 0;
-  std::uint64_t rows_scanned = 0;          // rows read by executed merges
-  std::uint64_t memo_reads = 0;
+  // Memo I/O sim cost; charge() adds a kReuse charge's memo_cost to the
+  // read side and every other charge's to the write side.
   SimDuration memo_read_cost = 0;
-  std::uint64_t memo_bytes_read = 0;
-  std::uint64_t memo_bytes_written = 0;
   SimDuration memo_write_cost = 0;
 
   // Charge context (not merged by operator+=).
   obs::WorkCause cause = obs::WorkCause::kInitialBuild;
   obs::WorkCause passthrough_cause = obs::WorkCause::kInitialBuild;
   std::uint16_t level = 0;
-  // Lineage arming (observability/provenance.h): set by the session when a
-  // ProvenanceRecorder is attached. Part of the charge context — copied by
-  // at_level() — and every record site is guarded on it, so disarmed runs
-  // never touch the lineage vector.
   bool record_lineage = false;
 
-  // Per-(cause, level) attribution, kept in lockstep with the aggregates.
+  // Per-(cause, level) attribution of every charge.
   obs::AttributedWork attributed;
 
-  // Per-node lineage records mirroring the charges (armed sessions only).
-  // Appended children-before-parents by the trees; merged in deterministic
-  // index order by the same folds as the counters, so record order is
-  // thread-count-invariant.
+  // Per-node lineage records, one per non-visit charge (armed sessions
+  // only). Appended children-before-parents by the trees; merged in
+  // deterministic index order by the same folds as the cells, so record
+  // order is thread-count-invariant.
   std::vector<obs::NodeLineage> lineage;
 
   // Fresh stats object carrying this object's charge context at `level`
-  // and zeroed counters — the seed for per-node partials in level loops.
+  // and nothing charged — the seed for per-node partials in level loops.
   TreeUpdateStats at_level(std::uint16_t lvl) const {
     TreeUpdateStats s;
     s.cause = cause;
@@ -99,47 +116,11 @@ struct TreeUpdateStats {
     return s;
   }
 
-  void charge_invocation_as(obs::WorkCause as, std::uint64_t rows) {
-    ++combiner_invocations;
-    rows_scanned += rows;
-    obs::CauseWork& cell = attributed.cell(as, level);
-    ++cell.combiner_invocations;
-    cell.rows_scanned += rows;
-  }
-  void charge_invocation(std::uint64_t rows) {
-    charge_invocation_as(cause, rows);
-  }
-  // Passthrough re-executions (one-void-child nodes) are removal-driven:
-  // they bill to passthrough_cause (window_remove during slides).
-  void charge_passthrough_invocation(std::uint64_t rows) {
-    charge_invocation_as(passthrough_cause, rows);
-  }
-  void charge_reuse() {
-    ++combiner_reused;
-    ++attributed.cell(cause, level).combiner_reused;
-  }
-  void charge_visits(std::uint64_t count = 1) {
-    nodes_visited += count;
-    attributed.cell(cause, level).nodes_visited += count;
-  }
-  void charge_memo_bytes_read(std::uint64_t bytes) {
-    memo_bytes_read += bytes;
-    attributed.cell(cause, level).memo_bytes_read += bytes;
-  }
-  void charge_memo_bytes_written(std::uint64_t bytes) {
-    memo_bytes_written += bytes;
-    attributed.cell(cause, level).memo_bytes_written += bytes;
-  }
+  // Bills `c` at the current level (contraction/tree_common.cc).
+  void charge(const TreeCharge& c);
 
   TreeUpdateStats& operator+=(const TreeUpdateStats& o) {
-    combiner_invocations += o.combiner_invocations;
-    combiner_reused += o.combiner_reused;
-    nodes_visited += o.nodes_visited;
-    rows_scanned += o.rows_scanned;
-    memo_reads += o.memo_reads;
     memo_read_cost += o.memo_read_cost;
-    memo_bytes_read += o.memo_bytes_read;
-    memo_bytes_written += o.memo_bytes_written;
     memo_write_cost += o.memo_write_cost;
     attributed.merge(o.attributed);
     lineage.insert(lineage.end(), o.lineage.begin(), o.lineage.end());

@@ -1,5 +1,7 @@
 #include "contraction/tree_common.h"
 
+#include <deque>
+
 #include "common/hash.h"
 #include "common/logging.h"
 #include "observability/trace.h"
@@ -28,33 +30,34 @@ NodeId internal_node_id(const MemoContext& ctx, NodeId left, NodeId right) {
                       hash_combine(0x1357, right));
 }
 
-void record_lineage_node(const MemoContext& ctx, TreeUpdateStats* stats,
-                         NodeId id, obs::LineageOp op, obs::WorkCause cause,
-                         std::uint32_t invocations, const KVTable& table,
-                         std::uint64_t rows_scanned, double memo_cost,
-                         std::span<const NodeId> children) {
-  (void)ctx;
-  if (stats == nullptr || !stats->record_lineage) return;
+namespace {
+
+// Appends the lineage record of one charge. The payload's key sketch
+// resolves through the global SketchCache: by id, else as the union of all
+// cached child sketches, else by hashing the table's keys; the result is
+// cached.
+void record_lineage_node(TreeUpdateStats& stats, const TreeCharge& c) {
+  SLIDER_CHECK(c.table != nullptr) << "lineage charge without a payload";
   obs::NodeLineage rec;
-  rec.id = id;
-  rec.op = op;
-  rec.cause = cause;
-  rec.level = stats->level;
-  rec.invocations = invocations;
-  rec.rows = table.size();
-  rec.rows_scanned = rows_scanned;
-  rec.memo_cost = memo_cost;
+  rec.id = c.id;
+  rec.op = c.op;
+  rec.cause = c.cause;
+  rec.level = stats.level;
+  rec.invocations = c.invocations;
+  rec.rows = c.table->size();
+  rec.rows_scanned = c.rows;
+  rec.memo_cost = c.memo_cost;
 
   obs::SketchCache& cache = obs::SketchCache::global();
-  if (id == 0) {
-    rec.sketch = obs::sketch_of_table(table);
-  } else if (!cache.lookup(id, &rec.sketch)) {
+  if (c.id == 0) {
+    rec.sketch = obs::sketch_of_table(*c.table);
+  } else if (!cache.lookup(c.id, &rec.sketch)) {
     // A node's key set is the union of its children's key sets (merges
     // union keys; passthroughs copy them), so cached child sketches make
     // this O(children) instead of O(rows).
-    bool from_children = !children.empty();
+    bool from_children = !c.children.empty();
     obs::KeySketch merged;
-    for (const NodeId child : children) {
+    for (const NodeId child : c.children) {
       obs::KeySketch child_sketch;
       if (child == 0 || !cache.lookup(child, &child_sketch)) {
         from_children = false;
@@ -62,11 +65,11 @@ void record_lineage_node(const MemoContext& ctx, TreeUpdateStats* stats,
       }
       merged.merge(child_sketch);
     }
-    rec.sketch = from_children ? merged : obs::sketch_of_table(table);
-    cache.store(id, rec.sketch);
+    rec.sketch = from_children ? merged : obs::sketch_of_table(*c.table);
+    cache.store(c.id, rec.sketch);
   }
 
-  for (const NodeId child : children) {
+  for (const NodeId child : c.children) {
     if (child == 0) continue;
     if (rec.children.size() >= obs::kLineageChildCap) {
       rec.children_truncated = true;
@@ -74,7 +77,50 @@ void record_lineage_node(const MemoContext& ctx, TreeUpdateStats* stats,
     }
     rec.children.push_back(child);
   }
-  stats->lineage.push_back(std::move(rec));
+  stats.lineage.push_back(std::move(rec));
+}
+
+}  // namespace
+
+void TreeUpdateStats::charge(const TreeCharge& c) {
+  obs::CauseWork& cell = attributed.cell(c.cause, level);
+  cell.nodes_visited += c.visits;
+  switch (c.op) {
+    case obs::LineageOp::kVisit:
+      return;
+    case obs::LineageOp::kReuse:
+      // Memoized sub-computation reused as-is (the paper's memo hit).
+      ++cell.combiner_reused;
+      cell.memo_bytes_read += c.memo_bytes;
+      memo_read_cost += c.memo_cost;
+      SLIDER_TRACE_EVENT("tree", "tree.reuse",
+                         {{"level", static_cast<double>(level)}});
+      break;
+    case obs::LineageOp::kLeaf:
+    case obs::LineageOp::kMerge:
+    case obs::LineageOp::kPassthrough:
+      cell.combiner_invocations += c.invocations;
+      cell.rows_scanned += c.rows;
+      cell.memo_bytes_written += c.memo_bytes;
+      memo_write_cost += c.memo_cost;
+      // Dirty-path recompute: one event per charge that ran the combiner.
+      if (c.invocations > 0) {
+        SLIDER_TRACE_EVENT("tree",
+                           c.op == obs::LineageOp::kPassthrough
+                               ? "tree.passthrough"
+                               : "tree.merge",
+                           {{"level", static_cast<double>(level)},
+                            {"rows", static_cast<double>(c.rows)}});
+      }
+      break;
+  }
+  if (record_lineage) record_lineage_node(*this, c);
+}
+
+MemoWriteResult memoize_payload(const MemoContext& ctx, NodeId id,
+                                const std::shared_ptr<const KVTable>& table) {
+  if (ctx.store == nullptr) return {};
+  return ctx.store->put(id, table, ctx.tenant_salt);
 }
 
 std::shared_ptr<const KVTable> combine_and_memoize(
@@ -84,22 +130,18 @@ std::shared_ptr<const KVTable> combine_and_memoize(
   MergeStats merge_stats;
   auto combined = std::make_shared<const KVTable>(
       KVTable::merge(left, right, combiner, &merge_stats));
+  const MemoWriteResult write = memoize_payload(ctx, id, combined);
   if (stats != nullptr) {
-    stats->charge_invocation(merge_stats.rows_scanned);
-  }
-  // Dirty-path recompute: one event per executed combiner merge.
-  SLIDER_TRACE_EVENT(
-      "tree", "tree.merge",
-      {{"partition", static_cast<double>(ctx.partition)},
-       {"rows", static_cast<double>(merge_stats.rows_scanned)}});
-  const SimDuration write_before =
-      stats != nullptr ? stats->memo_write_cost : 0;
-  memoize_payload(ctx, id, combined, stats);
-  if (stats != nullptr && stats->record_lineage) {
     const NodeId kids[] = {left_id, right_id};
-    record_lineage_node(ctx, stats, id, obs::LineageOp::kMerge, stats->cause,
-                        1, *combined, merge_stats.rows_scanned,
-                        stats->memo_write_cost - write_before, kids);
+    stats->charge({.op = obs::LineageOp::kMerge,
+                   .cause = stats->cause,
+                   .id = id,
+                   .table = combined.get(),
+                   .invocations = 1,
+                   .rows = merge_stats.rows_scanned,
+                   .memo_cost = write.cost,
+                   .memo_bytes = write.bytes_written,
+                   .children = kids});
   }
   return combined;
 }
@@ -109,71 +151,95 @@ void charge_passthrough(const MemoContext& ctx, const KVTable& table,
   if (stats == nullptr) return;
   // Voided-path re-execution: billed to the removal that voided the
   // sibling (passthrough_cause; see tree.h).
-  stats->charge_passthrough_invocation(table.size());
-  SLIDER_TRACE_EVENT("tree", "tree.passthrough",
-                     {{"partition", static_cast<double>(ctx.partition)},
-                      {"rows", static_cast<double>(table.size())}});
-  SimDuration write_cost = 0;
-  if (ctx.store != nullptr) {
-    write_cost = ctx.store->estimate_write_cost(table.byte_size());
-    stats->memo_write_cost += write_cost;
-  }
-  if (stats->record_lineage) {
-    const NodeId kids[] = {child_id};
-    record_lineage_node(ctx, stats, id, obs::LineageOp::kPassthrough,
-                        stats->passthrough_cause, 1, table, table.size(),
-                        write_cost, kids);
-  }
-}
-
-void memoize_payload(const MemoContext& ctx, NodeId id,
-                     const std::shared_ptr<const KVTable>& table,
-                     TreeUpdateStats* stats) {
-  if (ctx.store == nullptr) return;
-  const MemoWriteResult write = ctx.store->put(id, table, ctx.tenant_salt);
-  if (stats != nullptr) {
-    stats->charge_memo_bytes_written(write.bytes_written);
-    stats->memo_write_cost += write.cost;
-  }
+  const NodeId kids[] = {child_id};
+  stats->charge({.op = obs::LineageOp::kPassthrough,
+                 .cause = stats->passthrough_cause,
+                 .id = id,
+                 .table = &table,
+                 .invocations = 1,
+                 .rows = table.size(),
+                 .memo_cost = ctx.store != nullptr
+                                  ? ctx.store->estimate_write_cost(
+                                        table.byte_size())
+                                  : 0,
+                 .children = kids});
 }
 
 void memoize_leaf(const MemoContext& ctx, NodeId id,
                   const std::shared_ptr<const KVTable>& table,
                   TreeUpdateStats* stats) {
-  const SimDuration write_before =
-      stats != nullptr ? stats->memo_write_cost : 0;
-  memoize_payload(ctx, id, table, stats);
-  if (stats != nullptr && stats->record_lineage) {
-    record_lineage_node(ctx, stats, id, obs::LineageOp::kLeaf, stats->cause,
-                        0, *table, 0, stats->memo_write_cost - write_before,
-                        {});
+  const MemoWriteResult write = memoize_payload(ctx, id, table);
+  if (stats != nullptr) {
+    stats->charge({.op = obs::LineageOp::kLeaf,
+                   .cause = stats->cause,
+                   .id = id,
+                   .table = table.get(),
+                   .memo_cost = write.cost,
+                   .memo_bytes = write.bytes_written});
   }
+}
+
+FoldedBatch fold_batch(const MemoContext& ctx, const CombineFn& combiner,
+                       std::span<const Leaf> leaves, TreeUpdateStats* stats) {
+  SLIDER_CHECK(!leaves.empty()) << "empty batch";
+  FoldedBatch node;
+  node.id = leaf_node_id(ctx, leaves[0].split_id, *leaves[0].table);
+  std::deque<std::shared_ptr<const KVTable>> queue;
+  queue.push_back(leaves[0].table);
+  for (std::size_t i = 1; i < leaves.size(); ++i) {
+    node.id = internal_node_id(
+        ctx, node.id, leaf_node_id(ctx, leaves[i].split_id, *leaves[i].table));
+    queue.push_back(leaves[i].table);
+  }
+  std::uint64_t fold_rows = 0;
+  while (queue.size() > 1) {
+    auto a = std::move(queue.front());
+    queue.pop_front();
+    auto b = std::move(queue.front());
+    queue.pop_front();
+    MergeStats merge_stats;
+    queue.push_back(std::make_shared<const KVTable>(
+        KVTable::merge(*a, *b, combiner, &merge_stats)));
+    fold_rows += merge_stats.rows_scanned;
+  }
+  node.table = std::move(queue.front());
+  const MemoWriteResult write = memoize_payload(ctx, node.id, node.table);
+  if (stats != nullptr) {
+    stats->charge({.op = leaves.size() > 1 ? obs::LineageOp::kMerge
+                                           : obs::LineageOp::kLeaf,
+                   .cause = stats->cause,
+                   .id = node.id,
+                   .table = node.table.get(),
+                   .invocations = static_cast<std::uint32_t>(leaves.size() - 1),
+                   .rows = fold_rows,
+                   .memo_cost = write.cost,
+                   .memo_bytes = write.bytes_written});
+  }
+  return node;
 }
 
 std::shared_ptr<const KVTable> fetch_reused(
     const MemoContext& ctx, NodeId id,
     const std::shared_ptr<const KVTable>& fallback, TreeUpdateStats* stats) {
   SLIDER_CHECK(fallback != nullptr) << "reused node without in-tree payload";
-  if (stats != nullptr) stats->charge_reuse();
-  // Memoized sub-computation reused as-is (the paper's memo hit).
-  SLIDER_TRACE_EVENT("tree", "tree.reuse",
-                     {{"partition", static_cast<double>(ctx.partition)}});
   if (ctx.store == nullptr) {
-    record_lineage_node(ctx, stats, id, obs::LineageOp::kReuse,
-                        stats != nullptr ? stats->cause
-                                         : obs::WorkCause::kInitialBuild,
-                        0, *fallback, 0, 0, {});
+    if (stats != nullptr) {
+      stats->charge({.op = obs::LineageOp::kReuse,
+                     .cause = stats->cause,
+                     .id = id,
+                     .table = fallback.get()});
+    }
     return fallback;
   }
 
   const MemoReadResult read = ctx.store->get(id, ctx.reduce_home);
   if (stats != nullptr) {
-    ++stats->memo_reads;
-    stats->memo_read_cost += read.cost;
-    if (read.found) stats->charge_memo_bytes_read(read.table->byte_size());
-    record_lineage_node(ctx, stats, id, obs::LineageOp::kReuse, stats->cause,
-                        0, read.found ? *read.table : *fallback, 0, read.cost,
-                        {});
+    stats->charge({.op = obs::LineageOp::kReuse,
+                   .cause = stats->cause,
+                   .id = id,
+                   .table = read.found ? read.table.get() : fallback.get(),
+                   .memo_cost = read.cost,
+                   .memo_bytes = read.found ? read.table->byte_size() : 0});
   }
   if (read.found) return read.table;
 
@@ -183,23 +249,21 @@ std::shared_ptr<const KVTable> fetch_reused(
   // payload's rows, attributed to the layer that lost it — failure_reexec
   // when a machine failure destroyed every intact copy (§6 fault
   // tolerance), memo_eviction_recompute otherwise. Either way the output
-  // is unchanged: the store losing state can never change an answer.
-  const obs::WorkCause miss_cause =
-      read.failure_miss ? obs::WorkCause::kFailureReexec
-                        : obs::WorkCause::kMemoEvictionRecompute;
+  // is unchanged: the store losing state can never change an answer. Both
+  // records share the id; explain() lets the executed one shadow the
+  // reuse.
+  const MemoWriteResult write = memoize_payload(ctx, id, fallback);
   if (stats != nullptr) {
-    stats->charge_invocation_as(miss_cause, fallback->size() * 2);
-  }
-  const SimDuration write_before =
-      stats != nullptr ? stats->memo_write_cost : 0;
-  memoize_payload(ctx, id, fallback, stats);
-  if (stats != nullptr && stats->record_lineage) {
-    // The reuse fell through to a recompute: record the executed work too,
-    // under the cause that lost the payload (both records share the id;
-    // explain() lets the executed one shadow the reuse).
-    record_lineage_node(ctx, stats, id, obs::LineageOp::kMerge, miss_cause, 1,
-                        *fallback, fallback->size() * 2,
-                        stats->memo_write_cost - write_before, {});
+    stats->charge({.op = obs::LineageOp::kMerge,
+                   .cause = read.failure_miss
+                                ? obs::WorkCause::kFailureReexec
+                                : obs::WorkCause::kMemoEvictionRecompute,
+                   .id = id,
+                   .table = fallback.get(),
+                   .invocations = 1,
+                   .rows = fallback->size() * 2,
+                   .memo_cost = write.cost,
+                   .memo_bytes = write.bytes_written});
   }
   return fallback;
 }

@@ -1,5 +1,7 @@
 // Shared plumbing for contraction-tree implementations: stable node ids,
-// priced merge execution, and priced reuse of memoized payloads.
+// priced merge execution, and priced reuse of memoized payloads. Every
+// helper here bills through TreeUpdateStats::charge (defined in
+// tree_common.cc), the one charge entry for tree work.
 #pragma once
 
 #include <span>
@@ -22,8 +24,14 @@ NodeId leaf_node_id(const MemoContext& ctx, SplitId split,
 // Identity of an internal node from its children's identities.
 NodeId internal_node_id(const MemoContext& ctx, NodeId left, NodeId right);
 
-// Executes combine(left, right), charges the merge to `stats`, and
-// memoizes the result under `id`. Returns the combined payload.
+// Persists `table` under `id` in the memo layer and returns what the write
+// cost (zero without a store). Charges nothing: the caller bills the write
+// with the charge it belongs to.
+MemoWriteResult memoize_payload(const MemoContext& ctx, NodeId id,
+                                const std::shared_ptr<const KVTable>& table);
+
+// Executes combine(left, right), memoizes the result under `id`, and
+// charges the merge to `stats`. Returns the combined payload.
 //
 // `left_id` / `right_id` are the children's node ids, used only for
 // lineage recording (armed sessions); 0 means "unknown" and records an
@@ -38,35 +46,29 @@ std::shared_ptr<const KVTable> combine_and_memoize(
 // paper's design (Fig 2 recomputes such nodes after removals) — it reads
 // the payload, applies the identity combine, and writes its level output.
 // The output is content-identical to the child, so no new memo entry is
-// created; only the cost is charged. `id` / `child_id` feed lineage
-// recording only (0 = unknown).
+// created; only the cost is charged, to stats->passthrough_cause. `id` /
+// `child_id` feed lineage recording only (0 = unknown).
 void charge_passthrough(const MemoContext& ctx, const KVTable& table,
                         TreeUpdateStats* stats, NodeId id = 0,
                         NodeId child_id = 0);
 
-// Memoizes a payload that was produced without a merge (leaves).
-void memoize_payload(const MemoContext& ctx, NodeId id,
-                     const std::shared_ptr<const KVTable>& table,
-                     TreeUpdateStats* stats);
-
-// memoize_payload plus a leaf lineage record (op=leaf, zero combiner
-// invocations — leaf payloads are map-side work). Trees call this at the
-// sites where fresh leaf payloads enter the tree.
+// Memoizes a fresh leaf payload and charges it as a leaf (zero combiner
+// invocations — leaf payloads are map-side work).
 void memoize_leaf(const MemoContext& ctx, NodeId id,
                   const std::shared_ptr<const KVTable>& table,
                   TreeUpdateStats* stats);
 
-// Appends one lineage record mirroring charges the caller just made (a
-// no-op unless stats->record_lineage). The payload's key sketch resolves
-// through the global SketchCache: by id, else as the union of all cached
-// child sketches, else by hashing `table`'s keys; the result is cached.
-// The helpers above call this internally; trees call it directly only for
-// charge sites with no helper (direct charge_reuse hits, queue folds).
-void record_lineage_node(const MemoContext& ctx, TreeUpdateStats* stats,
-                         NodeId id, obs::LineageOp op, obs::WorkCause cause,
-                         std::uint32_t invocations, const KVTable& table,
-                         std::uint64_t rows_scanned, double memo_cost,
-                         std::span<const NodeId> children);
+// One append batch (coalescing) or bucket (rotating) folded into a single
+// node: the id is the order-sensitive chain over the leaf ids, the payload
+// a balanced merge — O(rows · log n) like the single large Combiner
+// invocation of Fig 5, not a quadratic left-fold. The node is memoized and
+// charged as one record with n-1 invocations at the current level.
+struct FoldedBatch {
+  NodeId id = 0;
+  std::shared_ptr<const KVTable> table;
+};
+FoldedBatch fold_batch(const MemoContext& ctx, const CombineFn& combiner,
+                       std::span<const Leaf> leaves, TreeUpdateStats* stats);
 
 // Charges the read of a reused node's payload from the memo layer and
 // returns it. `fallback` is the in-tree copy: it is returned (and the

@@ -1,9 +1,10 @@
 // Per-slide lineage recording and explain drill-downs.
 //
 // A contraction tree is literally a dependence graph, so provenance falls
-// out of instrumentation rather than new algorithms: every charge_* site
-// in the trees also appends a NodeLineage record when the session is
-// armed (SliderConfig::record_provenance), capturing the causal DAG of
+// out of instrumentation rather than new algorithms: the trees' single
+// charge entry (TreeUpdateStats::charge) also appends a NodeLineage record
+// when the session is armed (SliderConfig::record_provenance), capturing
+// the causal DAG of
 // the run — which memo nodes were reused, which were recomputed and why
 // (the WorkCause taxonomy), what each one cost in sim time, and a key
 // sketch of the rows it covers.
@@ -17,8 +18,8 @@
 //     of a slide as an actual node path (the per-level generalization of
 //     SliderSession::contraction_critical_path()).
 //
-// Slides are ring-buffered with the same tiered-downsampling discipline
-// as timeseries.{h,cc}: a raw ring of full per-node DAGs, evicting into
+// Slides are ring-buffered in the same TieredRing as timeseries.{h,cc}
+// (tiered_ring.h): a raw ring of full per-node DAGs, evicting into
 // width-limited aggregate buckets that keep the per-cause tallies and
 // the worst critical path; conservation holds as
 //   total_recorded == raw + Σ aggregate counts + samples_dropped.
@@ -37,6 +38,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "observability/tiered_ring.h"
 #include "observability/work_ledger.h"
 
 namespace slider {
@@ -58,6 +60,7 @@ enum class LineageOp : std::uint8_t {
   kMerge,        // combiner executed (one or more invocations)
   kPassthrough,  // single-child level hop, no combiner work
   kReuse,        // memo hit: payload served from the store
+  kVisit,        // node touched, no work of its own: billed, never recorded
 };
 
 std::string_view lineage_op_name(LineageOp op);
@@ -269,14 +272,7 @@ class ProvenanceRecorder {
  private:
   mutable std::mutex mutex_;
   Options options_;
-  std::vector<SlideLineage> raw_;
-  std::size_t raw_start_ = 0, raw_size_ = 0;
-  std::vector<LineageAggregate> aggregates_;
-  std::size_t agg_start_ = 0, agg_size_ = 0;
-  LineageAggregate open_bucket_{};
-  bool open_bucket_active_ = false;
-  std::uint64_t next_sequence_ = 0;
-  std::uint64_t samples_dropped_ = 0;
+  TieredRing<SlideLineage, LineageAggregate> ring_;
 };
 
 // --- serialization -----------------------------------------------------------

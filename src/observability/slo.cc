@@ -56,9 +56,7 @@ double window_metric(const std::vector<SlideSample>& raw, std::size_t count,
         invoked += raw[i].combiner_invocations;
         reused += raw[i].combiner_reused;
       }
-      const std::uint64_t touched = invoked + reused;
-      if (touched == 0) return 1.0;  // nothing executed: nothing was missed
-      return static_cast<double>(reused) / static_cast<double>(touched);
+      return memo_hit_rate(invoked, reused);
     }
     case SloKind::kRetryRateCeiling: {
       std::uint64_t retries = 0;

@@ -8,12 +8,13 @@
 // per-cause arrays, and the rings are preallocated, so record() never
 // allocates: the per-slide cost is one short mutex hold and a struct copy.
 //
-// Tiered downsampling keeps the memory footprint constant while the
-// history stays long: the most recent `raw_capacity` samples are kept
-// verbatim; when a raw sample ages out it is folded into an aggregation
-// bucket spanning `aggregate_width` consecutive slides (sums, maxima,
-// degraded counts), and the bucket ring in turn drops its oldest bucket
-// once `aggregate_capacity` is reached. With the defaults (512 raw, 256
+// Tiered downsampling (tiered_ring.h, shared with the lineage recorder)
+// keeps the memory footprint constant while the history stays long: the
+// most recent `raw_capacity` samples are kept verbatim; when a raw sample
+// ages out it is folded into an aggregation bucket spanning
+// `aggregate_width` consecutive slides (sums, maxima, degraded counts),
+// and the bucket ring in turn drops its oldest bucket once
+// `aggregate_capacity` is reached. With the defaults (512 raw, 256
 // buckets of 32) a session's last 8704 slides are always reconstructible,
 // the newest 512 of them exactly.
 //
@@ -30,9 +31,20 @@
 #include <string_view>
 #include <vector>
 
+#include "observability/tiered_ring.h"
 #include "observability/work_ledger.h"
 
 namespace slider::obs {
+
+// Fraction of combiner executions answered by the memo layer. A run (or
+// window of runs) that touched no combiner at all scores 1: nothing
+// executed, so nothing was missed. The one formula behind both the
+// /timeseries.json field and the memo-hit-rate SLO.
+inline double memo_hit_rate(std::uint64_t invoked, std::uint64_t reused) {
+  const std::uint64_t touched = invoked + reused;
+  if (touched == 0) return 1.0;
+  return static_cast<double>(reused) / static_cast<double>(touched);
+}
 
 // One committed run. POD on purpose: record() copies it into a
 // preallocated ring slot.
@@ -65,12 +77,8 @@ struct SlideSample {
   std::uint64_t failed_attempts = 0;
   bool durable_degraded = false;  // store was degraded at the boundary
 
-  // Fraction of combiner executions answered by the memo layer; 0 when the
-  // run touched no combiners at all (pure-reuse slides score 1).
   double memo_hit_rate() const {
-    const std::uint64_t touched = combiner_invocations + combiner_reused;
-    if (touched == 0) return 0;
-    return static_cast<double>(combiner_reused) / static_cast<double>(touched);
+    return obs::memo_hit_rate(combiner_invocations, combiner_reused);
   }
 };
 
@@ -129,7 +137,6 @@ class TimeSeries {
   // Reallocates the rings and clears history. Requires quiescent writers
   // (tests, tool startup).
   void configure(Options options);
-  const Options& options() const { return options_; }
 
   // Clears history, keeping the configured capacities.
   void reset();
@@ -139,18 +146,7 @@ class TimeSeries {
  private:
   Options options_;
   mutable std::mutex mutex_;
-  std::uint64_t next_sequence_ = 0;
-  std::uint64_t samples_dropped_ = 0;
-  // Raw ring: samples [raw_start_, raw_start_ + raw_size_) mod capacity.
-  std::vector<SlideSample> raw_;
-  std::size_t raw_start_ = 0;
-  std::size_t raw_size_ = 0;
-  // Aggregate ring, same layout, plus the currently-filling bucket.
-  std::vector<AggregateSample> aggregates_;
-  std::size_t agg_start_ = 0;
-  std::size_t agg_size_ = 0;
-  AggregateSample open_bucket_;
-  bool open_bucket_active_ = false;
+  TieredRing<SlideSample, AggregateSample> ring_;
 };
 
 }  // namespace slider::obs

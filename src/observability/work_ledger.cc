@@ -140,8 +140,7 @@ void WorkLedger::note_scrub(std::uint64_t verified, std::uint64_t detected,
 
 void WorkLedger::commit_run(RunKind kind, std::size_t window_splits,
                             std::size_t removed, std::size_t added,
-                            const std::vector<AttributedWork>& partitions,
-                            std::string_view tenant) {
+                            const RunWork& run, std::string_view tenant) {
   std::lock_guard<std::mutex> lock(mutex_);
   TenantWork* tenant_cell = nullptr;
   if (!tenant.empty()) {
@@ -154,13 +153,9 @@ void WorkLedger::commit_run(RunKind kind, std::size_t window_splits,
     }
     ++tenant_cell->runs_committed;
   }
-  for (const AttributedWork& partition : partitions) {
-    for (const AttributedCell& cell : partition.cells()) {
-      totals_[static_cast<std::size_t>(cell.cause)] += cell.work;
-      if (tenant_cell != nullptr) {
-        tenant_cell->totals[static_cast<std::size_t>(cell.cause)] += cell.work;
-      }
-    }
+  for (std::size_t c = 0; c < kWorkCauseCount; ++c) {
+    totals_[c] += run.by_cause[c];
+    if (tenant_cell != nullptr) tenant_cell->totals[c] += run.by_cause[c];
   }
   ++runs_committed_;
   if (history_limit_ == 0) return;
@@ -171,7 +166,7 @@ void WorkLedger::commit_run(RunKind kind, std::size_t window_splits,
   record.window_splits = window_splits;
   record.removed = removed;
   record.added = added;
-  record.partitions = partitions;
+  record.partitions = run.partitions;
   history_.push_back(std::move(record));
   while (history_.size() > history_limit_) history_.pop_front();
 }

@@ -27,12 +27,14 @@
 //                              scrubber never runs combiners itself)
 //
 // Accounting discipline (same as docs/threading.md): the hot paths never
-// touch a shared ledger. Tree work accumulates into caller-owned
-// TreeUpdateStats cells (per partition / per node, folded deterministically
-// in index order) and is committed to the process-wide WorkLedger once per
-// run at the slide boundary, under one cold mutex. Storage / durability /
-// scheduler event notes go through per-thread sharded cells that are summed
-// at snapshot time — a writer only ever touches its own cache line.
+// touch a shared ledger. Tree work is billed through the trees' single
+// charge entry (TreeUpdateStats::charge) into caller-owned cells (per
+// partition / per node, folded deterministically in index order); the
+// session sums a run's cells once into a RunWork and commits it to the
+// process-wide WorkLedger at the slide boundary, under one cold mutex.
+// Storage / durability / scheduler event notes go through per-thread
+// sharded cells that are summed at snapshot time — a writer only ever
+// touches its own cache line.
 #pragma once
 
 #include <array>
@@ -144,6 +146,29 @@ class AttributedWork {
   std::vector<AttributedCell> cells_;
 };
 
+// One run's attributed work, summed once at the slide boundary: the
+// per-partition cells, each partition's total, and the per-cause and
+// overall sums. Every consumer of a run's tree work — the tree.* stats
+// counters, the ledger commit, the time-series sample and the session's
+// per-partition cost model — reads this one sum.
+struct RunWork {
+  std::vector<AttributedWork> partitions;  // indexed by reduce partition
+  std::vector<CauseWork> partition_totals;
+  std::array<CauseWork, kWorkCauseCount> by_cause{};
+  CauseWork total;
+
+  void add(const AttributedWork& partition) {
+    CauseWork partition_total;
+    for (const AttributedCell& c : partition.cells()) {
+      by_cause[static_cast<std::size_t>(c.cause)] += c.work;
+      partition_total += c.work;
+    }
+    total += partition_total;
+    partitions.push_back(partition);
+    partition_totals.push_back(partition_total);
+  }
+};
+
 enum class RunKind : std::uint8_t { kInitial, kSlide, kBackground };
 std::string_view run_kind_name(RunKind kind);
 
@@ -215,9 +240,9 @@ struct LedgerSnapshot {
   const CauseWork& total_for(WorkCause cause) const {
     return totals[static_cast<std::size_t>(cause)];
   }
-  // Σ combiner invocations over every cause — must equal the aggregate
-  // "tree.combiner_invocations" stats counter (the ledger conservation
-  // property; asserted in tests/test_work_ledger.cc).
+  // Σ combiner invocations over every cause — equals the aggregate
+  // "tree.combiner_invocations" stats counter, since both are fed from the
+  // same RunWork sum (asserted in tests/test_work_ledger.cc).
   std::uint64_t total_invocations() const {
     std::uint64_t sum = 0;
     for (const CauseWork& w : totals) sum += w.combiner_invocations;
@@ -244,12 +269,11 @@ class WorkLedger {
   WorkLedger(const WorkLedger&) = delete;
   WorkLedger& operator=(const WorkLedger&) = delete;
 
-  // Commits one run's per-partition attributed work at a slide boundary.
-  // `tenant` (empty for single-tenant processes) additionally books the
-  // work into that tenant's ledger cell.
+  // Commits one run's attributed work at a slide boundary. `tenant`
+  // (empty for single-tenant processes) additionally books the work into
+  // that tenant's ledger cell.
   void commit_run(RunKind kind, std::size_t window_splits, std::size_t removed,
-                  std::size_t added,
-                  const std::vector<AttributedWork>& partitions,
+                  std::size_t added, const RunWork& run,
                   std::string_view tenant = {});
 
   // Hot-path-safe event notes (per-thread cells, no shared mutation).

@@ -131,12 +131,13 @@ RunMetrics QueryPipeline::run_later_stage(LaterStage& stage,
     }
     TreeUpdateStats ts;
     stage.trees[p]->initial_build(std::move(leaves), &ts);
+    const obs::CauseWork work = ts.attributed.total();
 
     const SimDuration contraction =
         stage.job.costs.combine_cpu_per_row *
-            static_cast<double>(ts.rows_scanned) +
+            static_cast<double>(work.rows_scanned) +
         config_.first_stage.memo_lookup_sec *
-            static_cast<double>(ts.nodes_visited) +
+            static_cast<double>(work.nodes_visited) +
         ts.memo_read_cost + ts.memo_write_cost;
     ReduceOutput reduced = run_reduce(stage.job, *stage.trees[p]->root());
     stage.outputs[p] = std::move(reduced.table);
@@ -148,9 +149,9 @@ RunMetrics QueryPipeline::run_later_stage(LaterStage& stage,
     metrics.contraction_work += contraction;
     metrics.reduce_work += reduced.cpu_cost;
     metrics.memo_read_work += ts.memo_read_cost;
-    metrics.combiner_invocations += ts.combiner_invocations;
-    metrics.combiner_reused += ts.combiner_reused;
-    metrics.memo_bytes_written += ts.memo_bytes_written;
+    metrics.combiner_invocations += work.combiner_invocations;
+    metrics.combiner_reused += work.combiner_reused;
+    metrics.memo_bytes_written += work.memo_bytes_written;
   }
   const StageResult reduce_sim = engine_->simulator().run_stage(
       reduce_tasks, config_.first_stage.reduce_policy);

@@ -60,43 +60,27 @@ TreeInstruments& tree_instruments() {
   return *instruments;
 }
 
-void record_tree_counters(const std::vector<TreeUpdateStats>& tree_stats) {
-  std::uint64_t visited = 0;
-  std::uint64_t invoked = 0;
-  std::uint64_t reused = 0;
-  for (const TreeUpdateStats& ts : tree_stats) {
-    visited += ts.nodes_visited;
-    invoked += ts.combiner_invocations;
-    reused += ts.combiner_reused;
-  }
+// Sums one run's per-partition cells once (the RunWork every consumer
+// reads) and books the run's tree.* counters from that sum.
+obs::RunWork sum_run_work(const std::vector<TreeUpdateStats>& tree_stats) {
+  obs::RunWork run;
+  run.partitions.reserve(tree_stats.size() + 1);
+  run.partition_totals.reserve(tree_stats.size() + 1);
+  for (const TreeUpdateStats& ts : tree_stats) run.add(ts.attributed);
+
   TreeInstruments& instruments = tree_instruments();
-  [[maybe_unused]] const double visited_total =
-      static_cast<double>(instruments.nodes_visited.add(visited));
-  [[maybe_unused]] const double invoked_total =
-      static_cast<double>(instruments.combiner_invocations.add(invoked));
-  [[maybe_unused]] const double reused_total =
-      static_cast<double>(instruments.combiner_reused.add(reused));
-  instruments.run_invocations.observe(static_cast<double>(invoked));
+  [[maybe_unused]] const double visited_total = static_cast<double>(
+      instruments.nodes_visited.add(run.total.nodes_visited));
+  [[maybe_unused]] const double invoked_total = static_cast<double>(
+      instruments.combiner_invocations.add(run.total.combiner_invocations));
+  [[maybe_unused]] const double reused_total = static_cast<double>(
+      instruments.combiner_reused.add(run.total.combiner_reused));
+  instruments.run_invocations.observe(
+      static_cast<double>(run.total.combiner_invocations));
   SLIDER_TRACE_COUNTER("tree", "tree.nodes_visited", visited_total);
   SLIDER_TRACE_COUNTER("tree", "tree.combiner_invocations", invoked_total);
   SLIDER_TRACE_COUNTER("tree", "tree.combiner_reused", reused_total);
-}
-
-// Commits one run's per-partition causal attribution to the process-wide
-// ledger (the cold once-per-run path; see observability/work_ledger.h).
-void commit_ledger_run(obs::RunKind kind, std::size_t window_splits,
-                       std::size_t removed, std::size_t added,
-                       const std::vector<TreeUpdateStats>& tree_stats,
-                       std::string_view tenant,
-                       const obs::AttributedWork* extra = nullptr) {
-  std::vector<obs::AttributedWork> partitions;
-  partitions.reserve(tree_stats.size() + (extra != nullptr ? 1 : 0));
-  for (const TreeUpdateStats& ts : tree_stats) {
-    partitions.push_back(ts.attributed);
-  }
-  if (extra != nullptr && !extra->empty()) partitions.push_back(*extra);
-  obs::WorkLedger::global().commit_run(kind, window_splits, removed, added,
-                                       partitions, tenant);
+  return run;
 }
 
 std::string_view tree_kind_name(TreeKind kind) {
@@ -509,7 +493,10 @@ void SliderSession::contraction_and_reduce(
     std::chrono::steady_clock::time_point wall_start) {
   SLIDER_TRACE_SPAN("session", "session.contraction_reduce");
   const double sim_start = sim_clock_;
-  record_tree_counters(tree_stats);
+  obs::RunWork run = sum_run_work(tree_stats);
+  metrics.combiner_invocations += run.total.combiner_invocations;
+  metrics.combiner_reused += run.total.combiner_reused;
+  metrics.memo_bytes_written += run.total.memo_bytes_written;
 
   // Slide-boundary integrity scrub slice (disarmed by default). The I/O it
   // performs is billed into this run's ledger commit under kScrubRepair so
@@ -526,8 +513,9 @@ void SliderSession::contraction_and_reduce(
     }
   }
 
-  commit_ledger_run(run_kind, window_.size(), removed, added, tree_stats,
-                    config_.tenant, &scrub_work);
+  if (!scrub_work.empty()) run.add(scrub_work);
+  obs::WorkLedger::global().commit_run(run_kind, window_.size(), removed,
+                                       added, run, config_.tenant);
 
   obs::TraceCollector& trace = obs::TraceCollector::global();
   const bool tracing = trace.enabled();
@@ -551,28 +539,28 @@ void SliderSession::contraction_and_reduce(
     SimDuration shuffle = 0;
     SimDuration reduce_tail = 0;  // stream merge + final reduce CPU
     SimDuration memo_read = 0;
-    std::uint64_t combiner_invocations = 0;
-    std::uint64_t combiner_reused = 0;
-    std::uint64_t memo_bytes_written = 0;
   };
   std::vector<PartitionShare> partials(partitions_.size());
   parallel_for(partitions_.size(), [&](std::size_t p) {
     const TreeUpdateStats& ts = tree_stats[p];
+    const obs::CauseWork& work = run.partition_totals[p];
 
     // Contraction phase: combiner merges + memo traffic + lookups.
-    const SimDuration merge_cpu =
-        job_.costs.combine_cpu_per_row * static_cast<double>(ts.rows_scanned);
+    const SimDuration merge_cpu = job_.costs.combine_cpu_per_row *
+                                  static_cast<double>(work.rows_scanned);
     const SimDuration lookup_cpu =
-        config_.memo_lookup_sec * static_cast<double>(ts.nodes_visited);
+        config_.memo_lookup_sec * static_cast<double>(work.nodes_visited);
     const SimDuration contraction = merge_cpu + lookup_cpu +
                                     ts.memo_read_cost + ts.memo_write_cost;
     // Critical path: combiner CPU parallelizes across the level's
     // subtasks; memo I/O also spreads across machines' disks but loses
     // half its parallelism to replication fan-out and store contention.
     const SimDuration contraction_path =
-        contraction_critical_path(ts, merge_cpu + lookup_cpu, p) +
+        contraction_critical_path(work.combiner_invocations,
+                                  merge_cpu + lookup_cpu, p) +
         (ts.memo_read_cost + ts.memo_write_cost) /
-            std::max(1.0, contraction_breadth(ts, p) / 2.0);
+            std::max(1.0,
+                     contraction_breadth(work.combiner_invocations, p) / 2.0);
 
     // Shuffle: fresh map outputs travel to the reduce machine.
     const SimDuration shuffle = cost.net_transfer(new_leaf_bytes[p]);
@@ -598,16 +586,13 @@ void SliderSession::contraction_and_reduce(
     task.duration = cost.task_overhead_sec + contraction_path + shuffle +
                     stream_merge_cpu + reduced.cpu_cost;
     task.preferred = partitions_[p].home;
-    task.migration_penalty = cost.net_transfer(ts.memo_bytes_read);
+    task.migration_penalty = cost.net_transfer(work.memo_bytes_read);
 
     PartitionShare& partial = partials[p];
     partial.contraction = contraction;
     partial.shuffle = shuffle;
     partial.reduce_tail = stream_merge_cpu + reduced.cpu_cost;
     partial.memo_read = ts.memo_read_cost;
-    partial.combiner_invocations = ts.combiner_invocations;
-    partial.combiner_reused = ts.combiner_reused;
-    partial.memo_bytes_written = ts.memo_bytes_written;
 
     if (tracing) {
       shares[p].contraction_path = contraction_path;
@@ -620,9 +605,6 @@ void SliderSession::contraction_and_reduce(
     metrics.shuffle_work += partial.shuffle;
     metrics.reduce_work += partial.reduce_tail;
     metrics.memo_read_work += partial.memo_read;
-    metrics.combiner_invocations += partial.combiner_invocations;
-    metrics.combiner_reused += partial.combiner_reused;
-    metrics.memo_bytes_written += partial.memo_bytes_written;
   }
   metrics.reduce_tasks = partitions_.size();
 
@@ -701,14 +683,14 @@ void SliderSession::contraction_and_reduce(
   sim_clock_ += metrics.map_time + stage.makespan;
 
   if (config_.run_gc) garbage_collect();
-  observe_run(run_kind, removed, added, metrics, tree_stats, sim_start,
+  observe_run(run_kind, removed, added, metrics, tree_stats, run, sim_start,
               metrics.time, wall_start);
 }
 
 void SliderSession::observe_run(
     obs::RunKind run_kind, std::size_t removed, std::size_t added,
     const RunMetrics& metrics, std::vector<TreeUpdateStats>& tree_stats,
-    double sim_start, double sim_latency,
+    const obs::RunWork& run, double sim_start, double sim_latency,
     std::chrono::steady_clock::time_point wall_start) {
   // Opportunistic durable recovery: the degraded flag otherwise only
   // clears on a durable *write*, so a session that went quiet on the
@@ -717,8 +699,8 @@ void SliderSession::observe_run(
 
   if (provenance_ != nullptr) {
     // Lineage commit: move the per-partition record vectors out of the
-    // stats (they have served their ledger purpose by now), derive the
-    // tallies + critical path, and ring-buffer the slide.
+    // stats, derive the tallies + critical path from the records, and
+    // ring-buffer the slide.
     std::vector<std::vector<obs::NodeLineage>> parts;
     parts.reserve(tree_stats.size());
     for (TreeUpdateStats& ts : tree_stats) {
@@ -745,15 +727,12 @@ void SliderSession::observe_run(
     sample.window_splits = window_.size();
     sample.removed = removed;
     sample.added = added;
-    for (const TreeUpdateStats& ts : tree_stats) {
-      for (const obs::AttributedCell& cell : ts.attributed.cells()) {
-        sample.cause_invocations[static_cast<std::size_t>(cell.cause)] +=
-            cell.work.combiner_invocations;
-      }
-      sample.combiner_invocations += ts.combiner_invocations;
-      sample.combiner_reused += ts.combiner_reused;
-      sample.nodes_visited += ts.nodes_visited;
+    for (std::size_t c = 0; c < obs::kWorkCauseCount; ++c) {
+      sample.cause_invocations[c] = run.by_cause[c].combiner_invocations;
     }
+    sample.combiner_invocations = run.total.combiner_invocations;
+    sample.combiner_reused = run.total.combiner_reused;
+    sample.nodes_visited = run.total.nodes_visited;
     sample.task_retries = metrics.task_retries;
     sample.failed_attempts = metrics.failed_attempts;
     sample.durable_degraded = memo_->durable_degraded();
@@ -823,35 +802,33 @@ RunMetrics SliderSession::run_background() {
     ts.passthrough_cause = obs::WorkCause::kBackgroundPreprocess;
     ts.record_lineage = provenance_ != nullptr;
   }
-  // Per-partition shares filled by the parallel loop, folded in partition
-  // order below so the floating-point sums match the serial run exactly.
-  struct BackgroundShare {
-    SimDuration work = 0;
-    std::uint64_t memo_bytes_written = 0;
-  };
-  std::vector<BackgroundShare> partials(partitions_.size());
   parallel_for(partitions_.size(), [&](std::size_t p) {
-    TreeUpdateStats& ts = tree_stats[p];
-    partitions_[p].tree->background_preprocess(&ts);
-    const SimDuration cpu =
-        job_.costs.combine_cpu_per_row * static_cast<double>(ts.rows_scanned) +
-        config_.memo_lookup_sec * static_cast<double>(ts.nodes_visited);
-    partials[p].work = cpu + ts.memo_read_cost + ts.memo_write_cost;
-    tasks[p].duration = cost.task_overhead_sec +
-                        contraction_critical_path(ts, cpu, p) +
-                        (ts.memo_read_cost + ts.memo_write_cost) /
-                            std::max(1.0, contraction_breadth(ts, p) / 2.0);
-    tasks[p].preferred = partitions_[p].home;
-    tasks[p].migration_penalty = cost.net_transfer(ts.memo_bytes_read);
-    partials[p].memo_bytes_written = ts.memo_bytes_written;
+    partitions_[p].tree->background_preprocess(&tree_stats[p]);
   });
-  for (const BackgroundShare& share : partials) {
-    metrics.background_work += share.work;
-    metrics.memo_bytes_written += share.memo_bytes_written;
+  const obs::RunWork run = sum_run_work(tree_stats);
+  // Priced in partition order, so the floating-point sums match the serial
+  // run exactly.
+  for (std::size_t p = 0; p < partitions_.size(); ++p) {
+    const TreeUpdateStats& ts = tree_stats[p];
+    const obs::CauseWork& work = run.partition_totals[p];
+    const SimDuration cpu =
+        job_.costs.combine_cpu_per_row *
+            static_cast<double>(work.rows_scanned) +
+        config_.memo_lookup_sec * static_cast<double>(work.nodes_visited);
+    metrics.background_work += cpu + ts.memo_read_cost + ts.memo_write_cost;
+    tasks[p].duration =
+        cost.task_overhead_sec +
+        contraction_critical_path(work.combiner_invocations, cpu, p) +
+        (ts.memo_read_cost + ts.memo_write_cost) /
+            std::max(1.0,
+                     contraction_breadth(work.combiner_invocations, p) / 2.0);
+    tasks[p].preferred = partitions_[p].home;
+    tasks[p].migration_penalty = cost.net_transfer(work.memo_bytes_read);
   }
-  record_tree_counters(tree_stats);
-  commit_ledger_run(obs::RunKind::kBackground, window_.size(), /*removed=*/0,
-                    /*added=*/0, tree_stats, config_.tenant);
+  metrics.memo_bytes_written += run.total.memo_bytes_written;
+  obs::WorkLedger::global().commit_run(obs::RunKind::kBackground,
+                                       window_.size(), /*removed=*/0,
+                                       /*added=*/0, run, config_.tenant);
   obs::TraceCollector& trace = obs::TraceCollector::global();
   const bool tracing = trace.enabled();
   StageTimeline timeline;
@@ -894,11 +871,12 @@ RunMetrics SliderSession::run_background() {
   sim_clock_ += stage.makespan;
   if (config_.run_gc) garbage_collect();
   observe_run(obs::RunKind::kBackground, /*removed=*/0, /*added=*/0, metrics,
-              tree_stats, sim_start, metrics.background_time, wall_start);
+              tree_stats, run, sim_start, metrics.background_time,
+              wall_start);
   return metrics;
 }
 
-double SliderSession::contraction_breadth(const TreeUpdateStats& ts,
+double SliderSession::contraction_breadth(std::uint64_t invocations,
                                           std::size_t partition) const {
   // The contraction phase is not one serial task: recomputed combiner
   // nodes within a tree level run as parallel tasks across the cluster
@@ -907,20 +885,21 @@ double SliderSession::contraction_breadth(const TreeUpdateStats& ts,
   // realistically occupy. Uses *this* partition's tree height: variants
   // with data-dependent shapes (e.g. randomized folding) legitimately have
   // different heights per partition.
-  const double invocations = static_cast<double>(ts.combiner_invocations);
-  if (invocations <= 1.0) return 1.0;
+  if (invocations <= 1) return 1.0;
   const double levels = static_cast<double>(std::max(
       1, partitions_.empty() ? 1 : partitions_[partition].tree->height()));
   const double slots_per_partition = std::max(
       1.0, static_cast<double>(engine_->cluster().num_machines() *
                                engine_->cluster().slots_per_machine()) /
                static_cast<double>(partitions_.size()));
-  return std::clamp(invocations / levels, 1.0, slots_per_partition);
+  return std::clamp(static_cast<double>(invocations) / levels, 1.0,
+                    slots_per_partition);
 }
 
 SimDuration SliderSession::contraction_critical_path(
-    const TreeUpdateStats& ts, SimDuration total, std::size_t partition) const {
-  return total / contraction_breadth(ts, partition);
+    std::uint64_t invocations, SimDuration total,
+    std::size_t partition) const {
+  return total / contraction_breadth(invocations, partition);
 }
 
 bool SliderSession::checkpoint(const std::string& dir) const {

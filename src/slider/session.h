@@ -218,9 +218,9 @@ class SliderSession {
   // within a level run as parallel combiner tasks, levels are sequential.
   // Uses the given partition's own tree height (heights differ across
   // partitions for data-dependent variants). Public as a test hook.
-  double contraction_breadth(const TreeUpdateStats& ts,
+  double contraction_breadth(std::uint64_t invocations,
                              std::size_t partition) const;
-  SimDuration contraction_critical_path(const TreeUpdateStats& ts,
+  SimDuration contraction_critical_path(std::uint64_t invocations,
                                         SimDuration total,
                                         std::size_t partition) const;
 
@@ -245,12 +245,13 @@ class SliderSession {
                               std::chrono::steady_clock::time_point wall_start);
   // Slide-boundary observability tail, shared with run_background():
   // opportunistic degraded-drain probe, lineage commit, time-series
-  // sample, SLO evaluation (breaches request a post-mortem),
-  // flight-recorder tick.
+  // sample (from `run`, the run's summed cells), SLO evaluation (breaches
+  // request a post-mortem), flight-recorder tick.
   void observe_run(obs::RunKind run_kind, std::size_t removed,
                    std::size_t added, const RunMetrics& metrics,
                    std::vector<TreeUpdateStats>& tree_stats,
-                   double sim_start, double sim_latency,
+                   const obs::RunWork& run, double sim_start,
+                   double sim_latency,
                    std::chrono::steady_clock::time_point wall_start);
   void garbage_collect();
   void maybe_start_introspection();

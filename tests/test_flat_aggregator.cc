@@ -331,9 +331,11 @@ void run_checkpoint_roundtrip(const CombineFn& combiner, FlatKernel kernel,
     EXPECT_EQ(*a->root(), *b->root()) << "post-restore slide " << slide;
     // Identical charges too: a restored tier must do the same
     // delta-proportional work, not a hidden rebuild.
-    EXPECT_EQ(d0.combiner_invocations, d1.combiner_invocations);
-    EXPECT_EQ(d0.combiner_reused, d1.combiner_reused);
-    EXPECT_EQ(d0.nodes_visited, d1.nodes_visited);
+    const obs::CauseWork w0 = d0.attributed.total();
+    const obs::CauseWork w1 = d1.attributed.total();
+    EXPECT_EQ(w0.combiner_invocations, w1.combiner_invocations);
+    EXPECT_EQ(w0.combiner_reused, w1.combiner_reused);
+    EXPECT_EQ(w0.nodes_visited, w1.nodes_visited);
   }
 }
 

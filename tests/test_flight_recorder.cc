@@ -232,6 +232,44 @@ TEST(TimeSeries, SamplingCanBeDisabledPerSession) {
   EXPECT_EQ(TimeSeries::global().total_recorded(), 0u);
 }
 
+TEST(TimeSeries, ZeroTouchSlideScoresFullMemoHitRate) {
+  // A slide that removes and adds nothing touches no combiner. The sample
+  // and the memo-hit-rate SLO must agree that nothing was missed: both
+  // score 1, not the published 0 vs the SLO's 1 of two separate formulas.
+  Harness h;
+  TimeSeries sink;
+  SliderConfig config;
+  config.mode = WindowMode::kVariableWidth;
+  config.timeseries = &sink;
+  const auto bench = apps::make_microbenchmark(MicroApp::kHct);
+  SliderSession session(h.engine, h.memo, bench.job, config);
+  Rng rng(7);
+  session.initial_run(make_app_splits(MicroApp::kHct, rng, 4, 10, 0));
+  session.slide(0, {});
+
+  const obs::TimeSeriesSnapshot snap = sink.snapshot();
+  ASSERT_EQ(snap.raw.size(), 2u);
+  const SlideSample& idle = snap.raw.back();
+  ASSERT_EQ(idle.combiner_invocations, 0u);
+  ASSERT_EQ(idle.combiner_reused, 0u);
+
+  const auto parsed = obs::parse_json(sink.to_json());
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_DOUBLE_EQ(
+      (*parsed)["raw"].items().back()["memo_hit_rate"].as_double(), 1.0);
+
+  SloSpec spec;
+  spec.name = "memo_hit_rate";
+  spec.kind = SloKind::kMemoHitRateFloor;
+  spec.threshold = 0.5;
+  spec.window = 1;
+  spec.burn_window = 1;
+  spec.min_samples = 1;
+  const SloVerdict verdict = obs::evaluate_slo(snap, spec);
+  EXPECT_DOUBLE_EQ(verdict.value, 1.0);
+  EXPECT_TRUE(verdict.ok);
+}
+
 // --- SLO engine --------------------------------------------------------------
 
 obs::TimeSeriesSnapshot snapshot_of(const std::vector<SlideSample>& samples) {

@@ -181,7 +181,8 @@ TEST(TreeInvariants, DeterministicCostsAndOutputs) {
       std::vector<Leaf> added = {random_leaf(next_id++, rng, combiner)};
       tree->apply_delta(1, std::move(added), &total);
     }
-    return std::tuple{tree->root()->content_hash(), total.rows_scanned,
+    return std::tuple{tree->root()->content_hash(),
+                      total.attributed.total().rows_scanned,
                       total.memo_read_cost, total.memo_write_cost};
   };
 
@@ -213,7 +214,7 @@ TEST(TreeInvariants, UpdateWorkScalesSubLinearly) {
     for (int i = 0; i < 4; ++i) {
       tree->apply_delta(1, {random_leaf(next_id++, rng, combiner)}, &slide);
     }
-    return slide.combiner_invocations / 4;
+    return slide.attributed.total().combiner_invocations / 4;
   };
 
   const auto rotating_small = merges_per_slide(TreeKind::kRotating, 64);

@@ -566,8 +566,7 @@ TEST(ContractionBreadthRegression, UsesOwnPartitionHeight) {
   // fixed, so this is deterministic.
   ASSERT_NE(session.tree_height(min_p), session.tree_height(max_p));
 
-  TreeUpdateStats ts;
-  ts.combiner_invocations =
+  const std::uint64_t invocations =
       2 * static_cast<std::uint64_t>(session.tree_height(max_p));
 
   const double slots_per_partition =
@@ -576,20 +575,24 @@ TEST(ContractionBreadthRegression, UsesOwnPartitionHeight) {
       static_cast<double>(partitions);
   for (int p = 0; p < partitions; ++p) {
     const double expected =
-        std::clamp(static_cast<double>(ts.combiner_invocations) /
+        std::clamp(static_cast<double>(invocations) /
                        static_cast<double>(std::max(1, session.tree_height(p))),
                    1.0, slots_per_partition);
-    EXPECT_DOUBLE_EQ(session.contraction_breadth(ts, static_cast<std::size_t>(p)),
-                     expected)
+    EXPECT_DOUBLE_EQ(
+        session.contraction_breadth(invocations, static_cast<std::size_t>(p)),
+        expected)
         << "partition " << p;
     EXPECT_DOUBLE_EQ(
-        session.contraction_critical_path(ts, 10.0,
+        session.contraction_critical_path(invocations, 10.0,
                                           static_cast<std::size_t>(p)),
         10.0 / expected)
         << "partition " << p;
   }
-  EXPECT_NE(session.contraction_breadth(ts, static_cast<std::size_t>(min_p)),
-            session.contraction_breadth(ts, static_cast<std::size_t>(max_p)));
+  EXPECT_NE(
+      session.contraction_breadth(invocations,
+                                  static_cast<std::size_t>(min_p)),
+      session.contraction_breadth(invocations,
+                                  static_cast<std::size_t>(max_p)));
 }
 
 }  // namespace

@@ -26,6 +26,11 @@ using testing::make_leaf;
 using testing::random_leaf;
 using testing::sum_combiner;
 
+// A tree operation's work, summed over its (cause, level) cells.
+obs::CauseWork totals(const TreeUpdateStats& stats) {
+  return stats.attributed.total();
+}
+
 MemoContext no_store_ctx() {
   MemoContext ctx;
   ctx.job_hash = 0xABCDEF;
@@ -60,7 +65,7 @@ TEST(FoldingTree, InitialBuildMatchesFold) {
   EXPECT_EQ(tree.leaf_count(), 5u);
   EXPECT_EQ(tree.capacity(), 8u);  // next power of two
   EXPECT_EQ(tree.height(), 3);
-  EXPECT_GT(stats.combiner_invocations, 0u);
+  EXPECT_GT(totals(stats).combiner_invocations, 0u);
 }
 
 TEST(FoldingTree, SingleLeafAndEmptyWindow) {
@@ -134,10 +139,10 @@ TEST(FoldingTree, IncrementalWorkIsSublinear) {
   TreeUpdateStats slide_stats;
   tree.apply_delta(1, sequential_leaves(256, 1, combiner), &slide_stats);
   // One leaf in, one out: at most ~2 root paths of merges.
-  EXPECT_LE(slide_stats.combiner_invocations,
+  EXPECT_LE(totals(slide_stats).combiner_invocations,
             2u * static_cast<unsigned>(tree.height()) + 2u);
-  EXPECT_LT(slide_stats.combiner_invocations,
-            build_stats.combiner_invocations / 10);
+  EXPECT_LT(totals(slide_stats).combiner_invocations,
+            totals(build_stats).combiner_invocations / 10);
 }
 
 TEST(FoldingTree, RebalanceFactorTriggersFreshRun) {
@@ -279,8 +284,9 @@ TEST(RandomizedFoldingTree, ReusesInteriorAcrossSlides) {
   tree.apply_delta(2, sequential_leaves(128, 2, combiner), &slide);
   // Interior groups away from both ends must be reused, so incremental
   // merges are a small fraction of the build.
-  EXPECT_LT(slide.combiner_invocations, build.combiner_invocations / 4);
-  EXPECT_GT(slide.combiner_reused, 0u);
+  EXPECT_LT(totals(slide).combiner_invocations,
+            totals(build).combiner_invocations / 4);
+  EXPECT_GT(totals(slide).combiner_reused, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -327,7 +333,7 @@ TEST(RotatingTree, SlideRecomputesOnlyOnePath) {
   TreeUpdateStats slide;
   tree.apply_delta(4, sequential_leaves(64, 4, combiner), &slide);
   // Bucket build: 3 merges; path: log2(16) = 4 merges.
-  EXPECT_LE(slide.combiner_invocations, 3u + 4u);
+  EXPECT_LE(totals(slide).combiner_invocations, 3u + 4u);
 }
 
 TEST(RotatingTree, UnevenBucketSizes) {
@@ -359,7 +365,7 @@ TEST(RotatingTree, SplitProcessingUsesIntermediate) {
   TreeUpdateStats bg;
   tree.background_preprocess(&bg);
   EXPECT_TRUE(tree.has_precomputed_intermediate());
-  EXPECT_GT(bg.combiner_invocations, 0u);
+  EXPECT_GT(totals(bg).combiner_invocations, 0u);
 
   std::deque<Leaf> window(leaves.begin(), leaves.end());
   SplitId next_id = 16;
@@ -370,7 +376,7 @@ TEST(RotatingTree, SplitProcessingUsesIntermediate) {
     tree.apply_delta(2, added, &fg);
     // Foreground with an intermediate: bucket build (1 merge) only; no
     // tree-path merges.
-    EXPECT_LE(fg.combiner_invocations, 1u);
+    EXPECT_LE(totals(fg).combiner_invocations, 1u);
     EXPECT_EQ(tree.reduce_inputs().size(), 2u);
 
     window.pop_front();
@@ -448,7 +454,7 @@ TEST(CoalescingTree, AppendWorkIndependentOfHistorySize) {
   TreeUpdateStats small;
   tree.apply_delta(0, sequential_leaves(100, 2, combiner), &small);
   // 2 new leaves: 1 merge to fold the batch + 1 coalesce with the root.
-  EXPECT_EQ(small.combiner_invocations, 2u);
+  EXPECT_EQ(totals(small).combiner_invocations, 2u);
 }
 
 TEST(CoalescingTree, SplitProcessingDefersCoalesce) {
@@ -462,7 +468,7 @@ TEST(CoalescingTree, SplitProcessingDefersCoalesce) {
   TreeUpdateStats fg;
   tree.apply_delta(0, added, &fg);
   EXPECT_TRUE(tree.has_pending_coalesce());
-  EXPECT_EQ(fg.combiner_invocations, 1u);  // only the batch fold
+  EXPECT_EQ(totals(fg).combiner_invocations, 1u);  // only the batch fold
   EXPECT_EQ(tree.reduce_inputs().size(), 2u);
 
   std::vector<Leaf> all = leaves;
@@ -472,7 +478,7 @@ TEST(CoalescingTree, SplitProcessingDefersCoalesce) {
   TreeUpdateStats bg;
   tree.background_preprocess(&bg);
   EXPECT_FALSE(tree.has_pending_coalesce());
-  EXPECT_EQ(bg.combiner_invocations, 1u);  // the deferred coalesce
+  EXPECT_EQ(totals(bg).combiner_invocations, 1u);  // the deferred coalesce
   EXPECT_EQ(*tree.root(), fold_leaves(all, combiner));
 }
 
@@ -503,7 +509,7 @@ TEST(StrawmanTree, MatchesFoldAndReusesOnAppend) {
   TreeUpdateStats build;
   tree.initial_build(leaves, &build);
   EXPECT_EQ(*tree.root(), fold_leaves(leaves, combiner));
-  EXPECT_EQ(build.combiner_reused, 0u);
+  EXPECT_EQ(totals(build).combiner_reused, 0u);
 
   TreeUpdateStats slide;
   tree.apply_delta(0, sequential_leaves(8, 1, combiner), &slide);
@@ -511,9 +517,9 @@ TEST(StrawmanTree, MatchesFoldAndReusesOnAppend) {
   all.push_back(sequential_leaves(8, 1, combiner)[0]);
   EXPECT_EQ(*tree.root(), fold_leaves(all, combiner));
   // Old leaves must be reused (their map outputs are memoized)...
-  EXPECT_GE(slide.combiner_reused, 8u);
+  EXPECT_GE(totals(slide).combiner_reused, 8u);
   // ...but the rebuild visits every node: linear, small constant.
-  EXPECT_GE(slide.nodes_visited, 2u * all.size() - 1);
+  EXPECT_GE(totals(slide).nodes_visited, 2u * all.size() - 1);
 }
 
 TEST(StrawmanTree, FrontDropDefeatsInternalReuse) {
@@ -527,7 +533,7 @@ TEST(StrawmanTree, FrontDropDefeatsInternalReuse) {
   tree.apply_delta(1, sequential_leaves(64, 1, combiner), &slide);
   // Leaf outputs are reused, but shifted subtree boundaries force most
   // internal merges to re-execute: work stays linear in the window.
-  EXPECT_GT(slide.combiner_invocations, 32u);
+  EXPECT_GT(totals(slide).combiner_invocations, 32u);
   std::vector<Leaf> window(leaves.begin() + 1, leaves.end());
   window.push_back(sequential_leaves(64, 1, combiner)[0]);
   EXPECT_EQ(*tree.root(), fold_leaves(window, combiner));
@@ -588,9 +594,9 @@ TEST(TreeComparison, SliderBeatsStrawmanOnFixedWidthSlides) {
     rotating.apply_delta(4, added, &rot_total);
     ASSERT_EQ(*strawman.root(), *rotating.root());
   }
-  EXPECT_LT(rot_total.combiner_invocations,
-            straw_total.combiner_invocations / 3);
-  EXPECT_LT(rot_total.rows_scanned, straw_total.rows_scanned);
+  EXPECT_LT(totals(rot_total).combiner_invocations,
+            totals(straw_total).combiner_invocations / 3);
+  EXPECT_LT(totals(rot_total).rows_scanned, totals(straw_total).rows_scanned);
 }
 
 }  // namespace

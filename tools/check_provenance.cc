@@ -1,24 +1,16 @@
-// check_provenance — lineage-vs-ledger conservation and explain-frontier
-// gate.
+// check_provenance — explain-frontier gate.
 //
-// Two machine-checked properties of the provenance subsystem
-// (observability/provenance.h):
+// For a folding-tree job whose key placement is chosen by this gate,
+// explain(key) (observability/provenance.h) must return exactly the
+// independently computed frontier: the level-0 leaves (from
+// describe_tree(), not from the lineage) whose splits were constructed to
+// contain the key — all-"new" on the initial build, and only the added
+// leaves on a slide introducing a fresh key.
 //
-//   1. Conservation. For every committed run of every tree variant — the
-//      five contraction trees, the flat aggregation tier, and a flat tier
-//      poisoned back to its fallback tree mid-stream — the per-cause
-//      combiner-invocation tallies of the recorded SlideLineage must equal
-//      the work ledger's attributed cells for the same run, and the count
-//      of reuse records must equal the ledger's combiner_reused. A lineage
-//      that under- or over-counts would make every explain() and critical
-//      path built on it a lie.
-//
-//   2. Frontier correctness. For a folding-tree job whose key placement is
-//      chosen by this gate, explain(key) must return exactly the
-//      independently computed frontier: the level-0 leaves (from
-//      describe_tree(), not from the lineage) whose splits were
-//      constructed to contain the key — all-"new" on the initial build,
-//      and only the added leaves on a slide introducing a fresh key.
+// Lineage-vs-ledger conservation is not gated here: lineage records and
+// ledger cells come from the same charge (TreeUpdateStats::charge), and
+// the LineageLedgerConservation tests (tests/test_provenance.cc) check it
+// per tree variant.
 //
 // With --postmortem-dir=DIR the gate additionally arms the flight
 // recorder on the frontier session and forces a dump, producing a
@@ -39,7 +31,6 @@
 #include "mapreduce/api.h"
 #include "observability/flight_recorder.h"
 #include "observability/provenance.h"
-#include "observability/work_ledger.h"
 #include "slider/session.h"
 
 namespace {
@@ -52,8 +43,6 @@ using slider::SliderSession;
 using slider::SplitPtr;
 using slider::TreeKind;
 using slider::WindowMode;
-using slider::obs::WorkCause;
-using slider::obs::WorkLedger;
 
 bool g_quiet = false;
 int g_failures = 0;
@@ -84,8 +73,7 @@ CombineFn sum_combiner() {
   };
 }
 
-JobSpec make_job(const std::string& name, bool flat_eligible,
-                 int partitions) {
+JobSpec make_job(const std::string& name) {
   JobSpec job;
   job.name = name;
   job.mapper = std::make_shared<IdentityMapper>();
@@ -94,12 +82,7 @@ JobSpec make_job(const std::string& name, bool flat_eligible,
                    const std::string& v) -> std::optional<std::string> {
     return v;
   };
-  job.num_partitions = partitions;
-  if (flat_eligible) {
-    job.traits.commutative = true;
-    job.traits.exactly_associative = true;
-    job.traits.flat_kernel = slider::FlatKernel::kSumU64;
-  }
+  job.num_partitions = 1;
   return job;
 }
 
@@ -114,131 +97,6 @@ struct Harness {
   slider::VanillaEngine engine;
   slider::MemoStore memo;
 };
-
-// One synthetic split: `n_keys` distinct keys ("k<base>".."k<base+n-1>"),
-// value "1" each, so invocation counts are deterministic.
-SplitPtr counting_split(slider::SplitId id, int base, int n_keys,
-                        const char* poison_value = nullptr) {
-  std::vector<Record> records;
-  for (int k = 0; k < n_keys; ++k) {
-    records.push_back({"k" + std::to_string(base + k), "1"});
-  }
-  if (poison_value != nullptr) {
-    records.push_back({"poisoned", poison_value});
-  }
-  return slider::make_split(id, std::move(records));
-}
-
-// --- part 1: conservation ----------------------------------------------------
-
-struct ConservationCase {
-  const char* name;
-  WindowMode mode;
-  TreeKind kind;        // ignored when flat
-  bool flat = false;
-  bool poison = false;  // flat only: inject a non-canonical value mid-stream
-  bool split_processing = false;
-};
-
-void check_conservation(const ConservationCase& c) {
-  WorkLedger::global().reset();
-  Harness h;
-  const JobSpec job =
-      make_job(std::string("prov-gate-") + c.name, c.flat, /*partitions=*/4);
-
-  SliderConfig config;
-  config.mode = c.mode;
-  if (!c.flat) config.tree_kind = c.kind;
-  config.split_processing = c.split_processing;
-  config.bucket_width = 2;
-  config.record_provenance = true;
-  SliderSession session(h.engine, h.memo, job, config);
-  if (c.flat) {
-    GATE(session.describe_tree(0).kind == "flat",
-         "%s: expected flat routing, got %s", c.name,
-         session.describe_tree(0).kind.c_str());
-  }
-
-  constexpr std::size_t kWindow = 8;
-  constexpr std::size_t kSlide = 2;
-  constexpr int kKeysPerSplit = 12;
-  std::vector<SplitPtr> initial;
-  for (std::size_t i = 0; i < kWindow; ++i) {
-    initial.push_back(counting_split(i, static_cast<int>(i) * 4,
-                                     kKeysPerSplit));
-  }
-  session.initial_run(std::move(initial));
-
-  slider::SplitId next_id = kWindow;
-  const std::size_t remove = c.mode == WindowMode::kAppendOnly ? 0 : kSlide;
-  for (int s = 0; s < 3; ++s) {
-    std::vector<SplitPtr> added;
-    for (std::size_t i = 0; i < kSlide; ++i) {
-      // Slide 1 of the poison case carries "007": parses as 7 but does
-      // not round-trip the strict codec, demoting the tier mid-stream.
-      const bool inject = c.poison && s == 1 && i == 0;
-      added.push_back(counting_split(next_id,
-                                     static_cast<int>(next_id) * 4,
-                                     kKeysPerSplit,
-                                     inject ? "007" : nullptr));
-      ++next_id;
-    }
-    session.slide(remove, std::move(added));
-    if (c.split_processing) session.run_background();
-  }
-
-  if (c.poison) {
-    bool any_demoted = false;
-    for (int p = 0; p < job.num_partitions; ++p) {
-      any_demoted = any_demoted || session.describe_tree(p).kind != "flat";
-    }
-    GATE(any_demoted, "%s: poison value never demoted any partition",
-         c.name);
-  }
-
-  const slider::obs::LedgerSnapshot ledger = WorkLedger::global().snapshot();
-  const slider::obs::ProvenanceSnapshot prov =
-      session.provenance()->snapshot();
-  GATE(ledger.recent.size() == prov.raw.size(),
-       "%s: ledger committed %zu runs, lineage recorded %zu", c.name,
-       ledger.recent.size(), prov.raw.size());
-  const std::size_t runs = std::min(ledger.recent.size(), prov.raw.size());
-  for (std::size_t r = 0; r < runs; ++r) {
-    const slider::obs::SlideRecord& rec = ledger.recent[r];
-    const slider::obs::SlideLineage& lin = prov.raw[r];
-    std::uint64_t ledger_reused = 0;
-    for (std::size_t cause = 0; cause < slider::obs::kWorkCauseCount;
-         ++cause) {
-      const WorkCause wc = static_cast<WorkCause>(cause);
-      std::uint64_t ledger_invocations = 0;
-      for (const slider::obs::AttributedWork& part : rec.partitions) {
-        const slider::obs::CauseWork work = part.total_for(wc);
-        ledger_invocations += work.combiner_invocations;
-        ledger_reused += work.combiner_reused;
-      }
-      GATE(ledger_invocations == lin.cause_invocations[cause],
-           "%s run %zu cause %s: ledger=%llu lineage=%llu", c.name, r,
-           slider::obs::work_cause_name(wc).data(),
-           static_cast<unsigned long long>(ledger_invocations),
-           static_cast<unsigned long long>(lin.cause_invocations[cause]));
-    }
-    GATE(ledger_reused == lin.reused_nodes,
-         "%s run %zu: ledger reused=%llu lineage reuse records=%llu",
-         c.name, r, static_cast<unsigned long long>(ledger_reused),
-         static_cast<unsigned long long>(lin.reused_nodes));
-  }
-  if (!g_quiet) {
-    std::printf("conservation %-18s %zu run(s), %llu node(s) recorded: OK\n",
-                c.name, runs,
-                static_cast<unsigned long long>([&] {
-                  std::uint64_t n = 0;
-                  for (const auto& s : prov.raw) n += s.recorded_nodes;
-                  return n;
-                }()));
-  }
-}
-
-// --- part 2: explain frontier ------------------------------------------------
 
 // Splits for the frontier gate: single partition, seven distinct keys so
 // every sketch stays exact. "hot" lands only in splits 2 and 5; the slide
@@ -292,10 +150,8 @@ std::string id_set_string(const std::set<std::uint64_t>& ids) {
 }
 
 void check_frontier(const std::string& postmortem_dir) {
-  WorkLedger::global().reset();
   Harness h;
-  const JobSpec job = make_job("prov-gate-frontier", /*flat_eligible=*/false,
-                               /*partitions=*/1);
+  const JobSpec job = make_job("prov-gate-frontier");
   SliderConfig config;
   config.mode = WindowMode::kVariableWidth;
   config.tree_kind = TreeKind::kFolding;
@@ -407,22 +263,6 @@ int main(int argc, char** argv) {
   }
   const std::string postmortem_dir =
       arg_value(argc, argv, "--postmortem-dir");
-
-  const ConservationCase cases[] = {
-      {"folding", WindowMode::kVariableWidth, TreeKind::kFolding},
-      {"randomized", WindowMode::kVariableWidth,
-       TreeKind::kRandomizedFolding},
-      {"strawman", WindowMode::kVariableWidth, TreeKind::kStrawman},
-      {"rotating", WindowMode::kFixedWidth, TreeKind::kRotating},
-      {"rotating_split", WindowMode::kFixedWidth, TreeKind::kRotating,
-       /*flat=*/false, /*poison=*/false, /*split_processing=*/true},
-      {"coalescing", WindowMode::kAppendOnly, TreeKind::kCoalescing},
-      {"flat", WindowMode::kVariableWidth, TreeKind::kFolding,
-       /*flat=*/true},
-      {"flat_poisoned", WindowMode::kVariableWidth, TreeKind::kFolding,
-       /*flat=*/true, /*poison=*/true},
-  };
-  for (const ConservationCase& c : cases) check_conservation(c);
 
   check_frontier(postmortem_dir);
 
