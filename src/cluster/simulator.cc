@@ -4,12 +4,34 @@
 #include <limits>
 #include <numeric>
 
-#include "observability/work_ledger.h"
+#include "observability/stats.h"
 
 namespace slider {
 namespace {
 
 constexpr SimDuration kNever = std::numeric_limits<SimDuration>::infinity();
+
+// Process-wide scheduler event counters (one registry add per event; the
+// per-stage tallies live in StageResult).
+struct SchedulerInstruments {
+  obs::Counter& speculative_reexecutions;
+  obs::Counter& task_retries;
+  obs::Counter& machines_blacklisted;
+  obs::Counter& failures_injected;
+};
+
+SchedulerInstruments& instruments() {
+  static SchedulerInstruments* inst = [] {
+    obs::StatsRegistry& stats = obs::StatsRegistry::global();
+    return new SchedulerInstruments{
+        stats.counter("scheduler.speculative_reexecutions"),
+        stats.counter("scheduler.task_retries"),
+        stats.counter("scheduler.machines_blacklisted"),
+        stats.counter("faults.injected"),
+    };
+  }();
+  return *inst;
+}
 
 struct Slot {
   MachineId machine;
@@ -168,9 +190,8 @@ StageResult StageSimulator::run_stage(std::span<const SimTask> tasks,
         const SimDuration primary_end = slot.free_at;
         ++result.speculative_launched;
         // Every backup is a speculative re-execution of already-scheduled
-        // work; the causal ledger records the launch regardless of which
-        // copy wins.
-        obs::WorkLedger::global().note_speculative_reexec();
+        // work; the launch is counted regardless of which copy wins.
+        instruments().speculative_reexecutions.add();
         if (backup_end < primary_end) {
           // Backup wins: the primary is killed when the backup finishes.
           ++result.speculative_wins;
@@ -442,7 +463,7 @@ StageResult StageSimulator::run_stage_faulty(std::span<const SimTask> tasks,
         result.work += end - start;
         ++result.failed_attempts;
         ++result.task_retries;
-        obs::WorkLedger::global().note_task_retry();
+        instruments().task_retries.add();
         if (timeline != nullptr) {
           timeline->push_back(TaskPlacement{.task = pending.task,
                                             .machine = machine,
@@ -465,13 +486,13 @@ StageResult StageSimulator::run_stage_faulty(std::span<const SimTask> tasks,
         result.work += effective;
         ++result.failed_attempts;
         ++result.task_retries;
-        obs::WorkLedger::global().note_task_retry();
-        obs::WorkLedger::global().note_failure_injected();
+        instruments().task_retries.add();
+        instruments().failures_injected.add();
         if (++injected_failures[m] >= plan.blacklist_threshold &&
             !blacklisted[m]) {
           blacklisted[m] = true;
           ++result.machines_blacklisted;
-          obs::WorkLedger::global().note_machine_blacklisted();
+          instruments().machines_blacklisted.add();
         }
         if (timeline != nullptr) {
           timeline->push_back(TaskPlacement{.task = pending.task,

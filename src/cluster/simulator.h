@@ -93,8 +93,8 @@ struct HybridOptions {
   // whose duration factor is >= this threshold, a backup copy is scheduled
   // on the earliest slot of another machine; whichever copy finishes first
   // wins and the loser is killed at that moment. 0 disables speculation.
-  // Every launched backup is a speculative re-execution in the causal work
-  // ledger (WorkCause::kSpeculativeReexec).
+  // Every launched backup adds one to the process-wide
+  // scheduler.speculative_reexecutions registry counter.
   double speculate_slowdown = 0;
 };
 

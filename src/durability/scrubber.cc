@@ -10,7 +10,6 @@
 #include "data/serde.h"
 #include "observability/flight_recorder.h"
 #include "observability/stats.h"
-#include "observability/work_ledger.h"
 
 namespace slider::durability {
 namespace {
@@ -342,9 +341,6 @@ ScrubStats IntegrityScrubber::scrub_slice(std::uint64_t record_budget) {
   if (slice.records_verified > 0) {
     instruments().records_verified.add(slice.records_verified);
   }
-  obs::WorkLedger::global().note_scrub(
-      slice.records_verified, slice.corruptions_detected, slice.repairs,
-      slice.quarantines);
   // full_passes from the abandoned-pass bump above is already in slice.
   ScrubStats lifetime_delta = slice;
   lifetime_delta.passes_abandoned = 0;  // counted in abandon_pass()

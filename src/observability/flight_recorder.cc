@@ -10,6 +10,7 @@
 #include "observability/json_writer.h"
 #include "observability/postmortem.h"
 #include "observability/provenance.h"
+#include "observability/stats.h"
 #include "observability/timeseries.h"
 #include "observability/trace.h"
 #include "observability/trace_export.h"
@@ -135,8 +136,9 @@ std::string FlightRecorder::dump_now(std::string_view reason,
 }
 
 // Requires mutex_ held. Global snapshots (TimeSeries / WorkLedger /
-// TraceCollector) only take those subsystems' own locks — none of them
-// ever calls back into the recorder, so the hold is deadlock-free.
+// StatsRegistry / TraceCollector) only take those subsystems' own locks —
+// none of them ever calls back into the recorder, so the hold is
+// deadlock-free.
 std::string FlightRecorder::write_dump_locked(std::string_view reason,
                                               const DumpContext& context) {
   std::error_code ec;
@@ -149,7 +151,7 @@ std::string FlightRecorder::write_dump_locked(std::string_view reason,
 
   JsonWriter json;
   json.begin_object();
-  json.key("schema_version").value(std::uint64_t{1});
+  json.key("schema_version").value(std::uint64_t{2});
   json.key("reason").value(reason);
   json.key("session").value(context.session);
   json.key("sim_time").value(context.sim_time);
@@ -170,6 +172,12 @@ std::string FlightRecorder::write_dump_locked(std::string_view reason,
   json.end_array();
   json.key("timeseries").raw(TimeSeries::global().to_json());
   json.key("ledger").raw(WorkLedger::global().to_json());
+  // Process-wide event counters (evictions, forced misses, retries,
+  // injected faults, scrub outcomes): the ledger carries tree work only.
+  const StatsSnapshot stats = StatsRegistry::global().snapshot();
+  json.key("counters").begin_object();
+  for (const auto& [name, value] : stats.counters) json.key(name).value(value);
+  json.end_object();
   if (context.provenance != nullptr) {
     // snapshot() only takes the recorder's own mutex; like the global
     // snapshots above it never calls back into the flight recorder.

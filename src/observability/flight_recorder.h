@@ -1,8 +1,8 @@
 // Black-box flight recorder: on chaos events, degraded-mode entry, or SLO
 // breach, atomically dump the process's observability state — trace ring,
-// time-series window, ledger snapshot, fault-event log, SLO verdicts — to
-// a CRC-framed `*.pm.json` post-mortem file (format: postmortem.h,
-// tools/slider_doctor.cc reads it back).
+// time-series window, ledger snapshot, stats-registry counters, fault-event
+// log, SLO verdicts — to a CRC-framed `*.pm.json` post-mortem file (format:
+// postmortem.h, tools/slider_doctor.cc reads it back).
 //
 // Trigger discipline: the places that *detect* trouble are the wrong
 // places to dump from. Degraded-mode entry fires inside MemoStore's
@@ -16,8 +16,8 @@
 //   * maybe_dump() — called once per slide boundary by the session (the
 //     same cold path that commits the ledger), where no subsystem lock is
 //     held: if a dump is pending, armed, and not rate-limited, it
-//     snapshots the global TimeSeries / WorkLedger / TraceCollector and
-//     writes the frame atomically (tmp + rename).
+//     snapshots the global TimeSeries / WorkLedger / StatsRegistry /
+//     TraceCollector and writes the frame atomically (tmp + rename).
 //
 // Rate limiting: at most `max_dumps` per arming and at least
 // `min_slides_between_dumps` slide boundaries between consecutive dumps,

@@ -1,12 +1,17 @@
 // Typed metrics: counters, gauges, and fixed-bucket histograms with
 // percentile estimation, plus a process-wide named registry.
 //
-// Storage, scheduling and the trees report into typed instruments here,
-// and the bench RunReport embeds a registry snapshot so every
-// BENCH_*.json carries the same counter set. Histograms use fixed bucket
-// bounds (linear or exponential) so p50/p95/p99 are O(buckets) to read
-// and the memory footprint is constant — the same design Prometheus
-// client libraries settled on.
+// Storage, durability, scheduling, chaos, scrubbing and the trees report
+// into typed instruments here, and the bench RunReport and post-mortem
+// dumps embed a registry snapshot so every BENCH_*.json carries the same
+// counter set. The registry is the one process-wide count of events
+// (evictions, forced misses, retries, blacklists, injected faults, scrub
+// outcomes): each event bumps exactly one counter, and the work ledger
+// (work_ledger.h) only attributes tree work by cause.
+//
+// Histograms use fixed bucket bounds (linear or exponential) so
+// p50/p95/p99 are O(buckets) to read and the memory footprint is
+// constant — the same design Prometheus client libraries settled on.
 #pragma once
 
 #include <atomic>

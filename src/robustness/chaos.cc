@@ -11,11 +11,19 @@
 #include "data/serde.h"
 #include "durability/durable_tier.h"
 #include "observability/flight_recorder.h"
-#include "observability/work_ledger.h"
+#include "observability/stats.h"
 #include "storage/memo_store.h"
 
 namespace slider::robustness {
 namespace {
+
+// Every applied destructive chaos event is one injected failure (the
+// scheduler adds the injected task-attempt failures to the same counter).
+obs::Counter& failures_injected() {
+  static obs::Counter& counter =
+      obs::StatsRegistry::global().counter("faults.injected");
+  return counter;
+}
 
 // Walks a segment file's frames and returns the byte offset where the last
 // complete frame starts (== size when the file holds none). Used to place a
@@ -250,7 +258,7 @@ void ChaosController::apply(const ChaosEvent& event) {
       // to recompute billed as failure_reexec.
       if (targets_.memo != nullptr) targets_.memo->drop_memory_on_failed();
       ++counters_.crashes;
-      obs::WorkLedger::global().note_failure_injected();
+      failures_injected().add();
       break;
     case ChaosEventType::kMachineRecover:
       cluster.recover_machine(event.machine);
@@ -259,7 +267,7 @@ void ChaosController::apply(const ChaosEvent& event) {
     case ChaosEventType::kStragglerOnset:
       cluster.set_straggler(event.machine, std::max(1.0, event.factor));
       ++counters_.stragglers;
-      obs::WorkLedger::global().note_failure_injected();
+      failures_injected().add();
       break;
     case ChaosEventType::kStragglerClear:
       cluster.set_straggler(event.machine, 1.0);
@@ -276,7 +284,7 @@ void ChaosController::apply(const ChaosEvent& event) {
         if (!was_failed) cluster.recover_machine(event.machine);
       }
       ++counters_.memo_losses;
-      obs::WorkLedger::global().note_failure_injected();
+      failures_injected().add();
       break;
     case ChaosEventType::kDurableErrorOnset:
       if (targets_.durable != nullptr && !durable_error_active_) {
@@ -285,7 +293,7 @@ void ChaosController::apply(const ChaosEvent& event) {
         }
         durable_error_active_ = true;
         ++counters_.durable_error_windows;
-        obs::WorkLedger::global().note_failure_injected();
+        failures_injected().add();
       }
       break;
     case ChaosEventType::kDurableErrorClear:
@@ -329,7 +337,7 @@ void ChaosController::apply(const ChaosEvent& event) {
           static_cast<int>(mix64(event.entropy ^ 0xB17B17) % 8);
       if (durability::FileFaultInjector::flip_bit(target.path, byte, bit)) {
         ++counters_.bit_rots;
-        obs::WorkLedger::global().note_failure_injected();
+        failures_injected().add();
         SLIDER_LOG(Info) << "chaos: bit rot in " << target.path << " byte "
                          << byte << " bit " << bit;
       }
@@ -360,7 +368,7 @@ void ChaosController::apply(const ChaosEvent& event) {
         if (durability::FileFaultInjector::truncate_tail(*it,
                                                          *size - frame)) {
           ++counters_.replica_divergences;
-          obs::WorkLedger::global().note_failure_injected();
+          failures_injected().add();
           SLIDER_LOG(Info) << "chaos: replica " << victim
                            << " diverged, dropped newest record of " << *it;
         }

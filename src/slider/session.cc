@@ -318,7 +318,7 @@ void SliderSession::maybe_start_introspection() {
     memo_->poll_durable_recovery();
     const bool durable_degraded = memo_->durable_degraded();
     const int failed = cluster.failed_machines();
-    const obs::LedgerSnapshot ledger = obs::WorkLedger::global().snapshot();
+    obs::StatsRegistry& stats = obs::StatsRegistry::global();
     std::string body = "{\"status\":\"";
     body += (failed == 0 && !durable_degraded) ? "ok" : "degraded";
     body += "\",\"machines\":{\"total\":";
@@ -330,13 +330,14 @@ void SliderSession::maybe_start_introspection() {
     body += ",\"backlog\":";
     body += std::to_string(memo_->degraded_backlog());
     body += "},\"faults\":{\"failures_injected\":";
-    body += std::to_string(ledger.counters.failures_injected);
+    body += std::to_string(stats.counter("faults.injected").value());
     body += ",\"task_retries\":";
-    body += std::to_string(ledger.counters.task_retries);
+    body += std::to_string(stats.counter("scheduler.task_retries").value());
     body += ",\"machines_blacklisted\":";
-    body += std::to_string(ledger.counters.machines_blacklisted);
+    body += std::to_string(
+        stats.counter("scheduler.machines_blacklisted").value());
     body += ",\"failure_forced_misses\":";
-    body += std::to_string(ledger.counters.failure_forced_misses);
+    body += std::to_string(stats.counter("memo.failure_forced_misses").value());
     body += "}";
     // SLO section: the session's latest verdicts (empty until a run has
     // been sampled or when no SLOs are configured). Breaches do not flip

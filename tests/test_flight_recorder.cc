@@ -479,6 +479,10 @@ TEST(FlightRecorder, DeferredDumpFiresAtTheNextBoundaryAndValidates) {
   EXPECT_TRUE(root["timeseries"].is_object());
   EXPECT_TRUE(root["ledger"].is_object());
   EXPECT_TRUE(root["trace"].is_object());
+  // Schema 2: event counters come from the stats registry, not the ledger.
+  EXPECT_EQ(root["schema_version"].as_u64(), 2u);
+  EXPECT_TRUE(root["counters"].is_object());
+  EXPECT_TRUE(root["ledger"]["counters"].is_null());
 }
 
 TEST(FlightRecorder, RateLimiterSpacesAndBoundsDumps) {

@@ -16,6 +16,7 @@
 #include "durability/fault_injector.h"
 #include "durability/recovery.h"
 #include "durability/segment_log.h"
+#include "observability/stats.h"
 #include "observability/work_ledger.h"
 #include "robustness/chaos.h"
 #include "slider/session.h"
@@ -398,7 +399,9 @@ TEST(ChaosEndToEnd, SessionOutputsByteIdenticalToControlAndCapRespected) {
   }
 
   // Chaos: same inputs under seeded faults.
-  const obs::LedgerSnapshot before = obs::WorkLedger::global().snapshot();
+  obs::Counter& injected =
+      obs::StatsRegistry::global().counter("faults.injected");
+  const std::uint64_t injected_before = injected.value();
   Cluster cluster(ClusterConfig{.num_machines = 5, .slots_per_machine = 2});
   VanillaEngine engine(cluster, cost);
   MemoStore memo(cluster, cost);
@@ -433,9 +436,7 @@ TEST(ChaosEndToEnd, SessionOutputsByteIdenticalToControlAndCapRespected) {
             static_cast<std::uint64_t>(options.max_attempts));
   // Chaos actually happened and was attributed.
   EXPECT_GT(controller.counters().events_applied, 0u);
-  const obs::LedgerSnapshot after = obs::WorkLedger::global().snapshot();
-  EXPECT_GT(after.counters.failures_injected,
-            before.counters.failures_injected);
+  EXPECT_GT(injected.value(), injected_before);
 }
 
 TEST(ChaosEndToEnd, FailureReexecBilledWhenEveryReplicaDies) {
@@ -455,6 +456,9 @@ TEST(ChaosEndToEnd, FailureReexecBilledWhenEveryReplicaDies) {
   // Kill every machine: memory homes AND both simulated replicas of every
   // entry are on failed machines for the duration of the next slide.
   const obs::LedgerSnapshot before = obs::WorkLedger::global().snapshot();
+  obs::Counter& forced =
+      obs::StatsRegistry::global().counter("memo.failure_forced_misses");
+  const std::uint64_t forced_before = forced.value();
   for (MachineId m = 0; m < cluster.num_machines(); ++m) {
     cluster.fail_machine(m);
   }
@@ -468,8 +472,7 @@ TEST(ChaosEndToEnd, FailureReexecBilledWhenEveryReplicaDies) {
     cluster.recover_machine(m);
   }
   const obs::LedgerSnapshot after = obs::WorkLedger::global().snapshot();
-  EXPECT_GT(after.counters.failure_forced_misses,
-            before.counters.failure_forced_misses);
+  EXPECT_GT(forced.value(), forced_before);
   EXPECT_GT(after.total_for(obs::WorkCause::kFailureReexec).combiner_invocations,
             before.total_for(obs::WorkCause::kFailureReexec).combiner_invocations);
 

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "apps/microbench.h"
-#include "observability/work_ledger.h"
+#include "observability/stats.h"
 #include "slider/session.h"
 
 namespace slider {
@@ -202,10 +202,11 @@ TEST(Schedulers, SpeculativeBackupWinsAgainstModerateStraggler) {
   HybridOptions hybrid;
   hybrid.speculate_slowdown = 2.0;
   StageTimeline timeline;
-  const obs::LedgerSnapshot before = obs::WorkLedger::global().snapshot();
+  obs::Counter& speculative = obs::StatsRegistry::global().counter(
+      "scheduler.speculative_reexecutions");
+  const std::uint64_t speculative_before = speculative.value();
   const StageResult result =
       sim.run_stage(tasks, SchedulePolicy::kHybrid, hybrid, &timeline);
-  const obs::LedgerSnapshot after = obs::WorkLedger::global().snapshot();
 
   EXPECT_EQ(result.speculative_launched, 1u);
   EXPECT_EQ(result.speculative_wins, 1u);
@@ -213,9 +214,8 @@ TEST(Schedulers, SpeculativeBackupWinsAgainstModerateStraggler) {
   EXPECT_NEAR(result.makespan, 2.2, 1e-9);
   // Work: primary ran until the kill (2.2) plus the full backup (2.2).
   EXPECT_NEAR(result.work, 4.4, 1e-9);
-  // Every launched backup is a speculative re-execution in the ledger.
-  EXPECT_EQ(after.counters.speculative_reexecutions,
-            before.counters.speculative_reexecutions + 1);
+  // Every launched backup is counted as a speculative re-execution.
+  EXPECT_EQ(speculative.value(), speculative_before + 1);
 
   // Timeline: primary (trimmed to the kill) + the speculative copy.
   ASSERT_EQ(timeline.size(), 2u);

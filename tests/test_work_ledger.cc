@@ -16,7 +16,10 @@
 
 #include <atomic>
 #include <filesystem>
+#include <map>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -57,8 +60,12 @@ std::vector<SplitPtr> make_app_splits(MicroApp app, Rng& rng,
   return make_splits(std::move(records), records_per_split, first_id);
 }
 
+std::uint64_t registry_counter(std::string_view name) {
+  return obs::StatsRegistry::global().counter(name).value();
+}
+
 std::uint64_t aggregate_invocations_counter() {
-  return obs::StatsRegistry::global().counter("tree.combiner_invocations").value();
+  return registry_counter("tree.combiner_invocations");
 }
 
 // --- conservation across all variants ----------------------------------------
@@ -276,6 +283,10 @@ TEST(WorkLedgerCauses, MemoBudgetEvictionsSurfaceAsEvictionRecompute) {
   SliderSession session(h.engine, h.memo, bench.job, config);
 
   const obs::LedgerSnapshot before = WorkLedger::global().snapshot();
+  const std::uint64_t evictions_before =
+      registry_counter("memo.evictions_budget");
+  const std::uint64_t forced_before =
+      registry_counter("memo.eviction_forced_misses");
   session.initial_run(make_app_splits(MicroApp::kHct, rng, 16, 20, 0));
   SplitId next_id = 16;
   for (int slide = 0; slide < 3; ++slide) {
@@ -284,9 +295,8 @@ TEST(WorkLedgerCauses, MemoBudgetEvictionsSurfaceAsEvictionRecompute) {
   }
   const obs::LedgerSnapshot after = WorkLedger::global().snapshot();
 
-  EXPECT_GT(after.counters.budget_evictions, before.counters.budget_evictions);
-  EXPECT_GT(after.counters.eviction_forced_misses,
-            before.counters.eviction_forced_misses);
+  EXPECT_GT(registry_counter("memo.evictions_budget"), evictions_before);
+  EXPECT_GT(registry_counter("memo.eviction_forced_misses"), forced_before);
   EXPECT_GT(
       after.total_for(WorkCause::kMemoEvictionRecompute).combiner_invocations,
       before.total_for(WorkCause::kMemoEvictionRecompute).combiner_invocations);
@@ -336,7 +346,11 @@ TEST(WorkLedgerCauses, PostRestoreSlidesBillToRecoveryReplay) {
   durability::DurableTier tier(tier_dir);
   MemoStore memo(cluster, cost);
   memo.attach_durable_tier(&tier);
+  const std::uint64_t installed_before =
+      registry_counter("memo.recovered_entries");
   ASSERT_GT(memo.restore_from_durable(), 0u);
+  // memo.recovered_entries counts the entries restore installed.
+  EXPECT_GT(registry_counter("memo.recovered_entries"), installed_before);
   SliderSession restored(engine, memo, bench.job, config);
   ASSERT_TRUE(restored.restore(ckpt_dir));
   ASSERT_TRUE(restored.recovery_replay_active());
@@ -350,7 +364,6 @@ TEST(WorkLedgerCauses, PostRestoreSlidesBillToRecoveryReplay) {
             before.total_for(WorkCause::kRecoveryReplay).combiner_invocations);
   EXPECT_EQ(mid.total_for(WorkCause::kWindowAdd).combiner_invocations,
             before.total_for(WorkCause::kWindowAdd).combiner_invocations);
-  EXPECT_GT(mid.counters.recovered_entries, 0u);
 
   // Once the caller declares catch-up finished, attribution is normal.
   restored.end_recovery_replay();
@@ -484,7 +497,7 @@ TEST(IntrospectionEndpoint, RejectsMalformedAndNonGetRequests) {
 TEST(IntrospectionEndpoint, FallsBackToEphemeralWhenPortBusy) {
   obs::IntrospectionServer first({.port = 0});
   ASSERT_TRUE(first.start());
-  const int taken = first.port();
+  const std::uint16_t taken = first.port();
 
   obs::IntrospectionServer second(
       {.port = taken, .fallback_to_ephemeral = true});
@@ -507,6 +520,53 @@ TEST(IntrospectionEndpoint, DisabledByDefaultWithNoServerObject) {
   SliderSession session(h.engine, h.memo,
                         apps::make_microbenchmark(MicroApp::kHct).job, config);
   EXPECT_EQ(session.introspection(), nullptr);
+}
+
+TEST(IntrospectionEndpoint, DeclaresEveryMetricFamilyOnce) {
+  // A durable tier, an armed scrubber and a tight entry budget register
+  // the scrub.*, durability.* and memo eviction counters. Each event is
+  // counted once, in the stats registry, so /metrics must still declare
+  // every family exactly once.
+  const fs::path dir = fs::temp_directory_path() / "slider_metrics_families";
+  fs::remove_all(dir);
+  {
+    durability::DurableTier tier(dir.string());
+    Harness h;
+    h.memo.attach_durable_tier(&tier);
+    h.memo.set_entry_budget(8);
+    SliderConfig config;
+    config.mode = WindowMode::kVariableWidth;
+    config.scrub_records_per_slide = 64;
+    config.introspect_port = 0;
+    SliderSession session(h.engine, h.memo,
+                          apps::make_microbenchmark(MicroApp::kHct).job,
+                          config);
+    Rng rng(5);
+    session.initial_run(make_app_splits(MicroApp::kHct, rng, 16, 20, 0));
+    SplitId next_id = 16;
+    for (int slide = 0; slide < 3; ++slide) {
+      session.slide(4, make_app_splits(MicroApp::kHct, rng, 4, 20, next_id));
+      next_id += 4;
+    }
+    ASSERT_GT(h.memo.stats().budget_evictions, 0u);
+    ASSERT_GT(registry_counter("scrub.records_verified"), 0u);
+
+    const std::string metrics =
+        http_get(session.introspection()->port(), "/metrics");
+    ASSERT_NE(metrics.find("200"), std::string::npos);
+    std::map<std::string, int> declared;
+    std::istringstream lines(metrics);
+    for (std::string line; std::getline(lines, line);) {
+      if (line.rfind("# TYPE ", 0) != 0) continue;
+      ++declared[line.substr(7, line.find(' ', 7) - 7)];
+    }
+    EXPECT_EQ(declared.count("slider_scrub_records_verified_total"), 1u);
+    EXPECT_EQ(declared.count("slider_memo_evictions_budget_total"), 1u);
+    for (const auto& [family, count] : declared) {
+      EXPECT_EQ(count, 1) << family << " declared " << count << " times";
+    }
+  }
+  fs::remove_all(dir);
 }
 
 // --- concurrent scrape during a threaded slide (tsan) ------------------------

@@ -21,7 +21,8 @@
 //   * CONSERVATION: the causal ledger still conserves globally
 //     (per-cause invocations == the aggregate tree counter), per-tenant
 //     cells sum to <= the totals, and quota-eviction counts agree across
-//     the store's per-tenant cells, its aggregate stats, and the ledger.
+//     the store's per-tenant cells, its aggregate stats, and the stats
+//     registry's memo.evictions_quota counter.
 //
 // Exit status 0 iff every check passed. Writes BENCH_multitenant_soak.json
 // unless --no-report.
@@ -374,19 +375,22 @@ int main(int argc, char** argv) {
     quota_evictions_cells += usage.quota_evictions;
   }
   const MemoStoreStats store_stats = memo.stats();
-  const obs::LedgerSnapshot ledger = obs::WorkLedger::global().snapshot();
+  obs::StatsRegistry& stats = obs::StatsRegistry::global();
+  const std::uint64_t registry_quota_evictions =
+      stats.counter("memo.evictions_quota").value();
   if (quota_evictions_cells == 0) {
     fail("no quota evictions despite quota-tight tenants");
   }
   if (quota_evictions_cells != store_stats.quota_evictions ||
-      store_stats.quota_evictions != ledger.counters.quota_evictions) {
+      store_stats.quota_evictions != registry_quota_evictions) {
     fail("quota-eviction counters diverged: tenant cells " +
          std::to_string(quota_evictions_cells) + ", store stats " +
-         std::to_string(store_stats.quota_evictions) + ", ledger " +
-         std::to_string(ledger.counters.quota_evictions));
+         std::to_string(store_stats.quota_evictions) + ", registry " +
+         std::to_string(registry_quota_evictions));
   }
+  const obs::LedgerSnapshot ledger = obs::WorkLedger::global().snapshot();
   const std::uint64_t aggregate =
-      obs::StatsRegistry::global().counter("tree.combiner_invocations").value();
+      stats.counter("tree.combiner_invocations").value();
   if (ledger.total_invocations() != aggregate) {
     fail("ledger conservation: per-cause sum " +
          std::to_string(ledger.total_invocations()) + " != aggregate " +
