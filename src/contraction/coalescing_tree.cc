@@ -43,6 +43,7 @@ void CoalescingTree::coalesce_pending(TreeUpdateStats* stats) {
   root_node_.table =
       combine_and_memoize(ctx_, combiner_, id, *prev, *pending_delta_, stats,
                           root_node_.id, pending_delta_id_);
+  release_superseded(pending_delta_id_, stats);
   root_node_.id = id;
   pending_delta_.reset();
   root_override_.reset();
@@ -76,9 +77,18 @@ void CoalescingTree::apply_delta(std::size_t remove_front,
   root_node_.table =
       combine_and_memoize(ctx_, combiner_, id, *prev, *delta.table, stats,
                           root_node_.id, delta.id);
+  release_superseded(delta.id, stats);
   root_node_.id = id;
   ++height_;
   if (stats != nullptr) stats->level = 0;
+}
+
+void CoalescingTree::release_superseded(NodeId delta_id,
+                                        TreeUpdateStats* stats) {
+  // Both inputs of the spine merge are referenced by nothing else now.
+  if (stats == nullptr) return;
+  if (root_node_.id != 0) stats->released.push_back(root_node_.id);
+  stats->released.push_back(delta_id);
 }
 
 void CoalescingTree::background_preprocess(TreeUpdateStats* stats) {

@@ -47,6 +47,8 @@ class CoalescingTree final : public ContractionTree {
   // Left-fold of a batch of leaves into one node (the C' of Fig 5).
   Node fold_leaves(std::vector<Leaf> leaves, TreeUpdateStats* stats);
   void coalesce_pending(TreeUpdateStats* stats);
+  // Releases the previous root and the delta a spine merge just folded.
+  void release_superseded(NodeId delta_id, TreeUpdateStats* stats);
 
   MemoContext ctx_;
   CombineFn combiner_;

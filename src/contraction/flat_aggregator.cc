@@ -238,6 +238,10 @@ void FlatAggregator::evict_front(TreeUpdateStats* stats) {
   for (const std::uint32_t k : elements_.front().key_idx) {
     if (--counts_[k] == 0) root_order_dirty_ = true;
   }
+  // Leaf ids are only computed (and memoized) with a store attached.
+  if (elements_.front().id != 0) {
+    stats->released.push_back(elements_.front().id);
+  }
   elements_.pop_front();
 }
 

@@ -24,6 +24,9 @@ void FoldingTree::initial_build(std::vector<Leaf> leaves,
 }
 
 void FoldingTree::reset_to(std::vector<Leaf> leaves, TreeUpdateStats* stats) {
+  for (const auto& level : levels_) {
+    for (const Slot& slot : level) release_owned(slot, stats);
+  }
   levels_.clear();
   first_ = 0;
   end_ = leaves.size();
@@ -36,6 +39,7 @@ void FoldingTree::reset_to(std::vector<Leaf> leaves, TreeUpdateStats* stats) {
     slot.id = leaf_node_id(ctx_, leaves[i].split_id, *leaves[i].table);
     slot.table = std::move(leaves[i].table);
     slot.recomputed_this_run = true;
+    slot.owner = true;
     memoize_leaf(ctx_, slot.id, slot.table, stats);
     dirty.push_back(i);
   }
@@ -58,19 +62,23 @@ void FoldingTree::grow() {
   // growth (the inserted leaf's path reaches the new root).
 }
 
-void FoldingTree::shrink(std::vector<std::size_t>& dirty_leaves) {
+void FoldingTree::shrink(std::vector<std::size_t>& dirty_leaves,
+                         TreeUpdateStats* stats) {
   // The whole left half of the leaf level is void: promote the right child
   // of the root. Indices shift down by half the capacity at the leaf
-  // level, halving per level above.
+  // level, halving per level above. The discarded left-half nodes and the
+  // old root still hold pre-slide merges; owners among them are released.
   const std::size_t half = levels_[0].size() / 2;
   SLIDER_CHECK(first_ >= half) << "shrink with occupied left half";
   std::size_t level_half = half;
   for (auto& level : levels_) {
     if (level.size() == 1) break;  // root level handled by pop below
-    level.erase(level.begin(),
-                level.begin() + static_cast<std::ptrdiff_t>(level_half));
+    const auto cut = level.begin() + static_cast<std::ptrdiff_t>(level_half);
+    for (auto it = level.begin(); it != cut; ++it) release_owned(*it, stats);
+    level.erase(level.begin(), cut);
     level_half /= 2;
   }
+  release_owned(levels_.back()[0], stats);
   levels_.pop_back();
   first_ -= half;
   end_ -= half;
@@ -90,6 +98,7 @@ void FoldingTree::apply_delta(std::size_t remove_front,
   // Drop old items: void the leftmost occupied slots.
   for (std::size_t i = 0; i < remove_front; ++i) {
     Slot& slot = levels_[0][first_];
+    release_owned(slot, stats);
     slot = Slot{};
     dirty.push_back(first_);
     ++first_;
@@ -99,7 +108,7 @@ void FoldingTree::apply_delta(std::size_t remove_front,
   // indices from the discarded half vanish with it (their ancestors are
   // discarded too, except the root, whose promotion is free).
   while (levels_.size() > 1 && first_ >= levels_[0].size() / 2) {
-    shrink(dirty);
+    shrink(dirty, stats);
   }
 
   // Insert new items into void slots on the right, unfolding as needed.
@@ -109,6 +118,7 @@ void FoldingTree::apply_delta(std::size_t remove_front,
     slot.id = leaf_node_id(ctx_, leaf.split_id, *leaf.table);
     slot.table = std::move(leaf.table);
     slot.recomputed_this_run = true;
+    slot.owner = true;
     memoize_leaf(ctx_, slot.id, slot.table, stats);
     dirty.push_back(end_);
     ++end_;
@@ -173,6 +183,7 @@ void FoldingTree::recompute_paths(std::vector<std::size_t> dirty_leaves,
       Slot& right = levels_[k - 1][2 * j + 1];
       Slot& node = levels_[k][j];
       if (left.table == nullptr && right.table == nullptr) {
+        release_owned(node, node_stats);
         node = Slot{};
       } else if (left.table == nullptr || right.table == nullptr) {
         // Passthrough: a combiner invocation over one live input. It is
@@ -183,6 +194,8 @@ void FoldingTree::recompute_paths(std::vector<std::size_t> dirty_leaves,
         if (node.id != live.id) {
           charge_passthrough(ctx_, *live.table, node_stats, live.id, live.id);
         }
+        release_owned(node, node_stats);
+        node.owner = false;
         node.id = live.id;
         node.table = live.table;
         node.recomputed_this_run = live.recomputed_this_run;
@@ -202,11 +215,13 @@ void FoldingTree::recompute_paths(std::vector<std::size_t> dirty_leaves,
             right.recomputed_this_run
                 ? right.table
                 : fetch_reused(ctx_, right.id, right.table, node_stats);
+        release_owned(node, node_stats);
         node.id = id;
         node.table = combine_and_memoize(ctx_, combiner_, id, *left_table,
                                          *right_table, node_stats, left.id,
                                          right.id);
         node.recomputed_this_run = true;
+        node.owner = true;
       }
     };
     if (next.size() >= kParallelLevelThreshold) {
@@ -273,6 +288,7 @@ bool FoldingTree::restore(durability::CheckpointReader& reader) {
       end > levels.front().size()) {
     return false;
   }
+  derive_ownership(levels);
   levels_ = std::move(levels);
   first_ = static_cast<std::size_t>(first);
   end_ = static_cast<std::size_t>(end);

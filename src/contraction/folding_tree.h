@@ -47,16 +47,18 @@ class FoldingTree final : public ContractionTree {
   std::size_t first_occupied() const { return first_; }
 
  private:
-  // Void slots have a null table (and id 0).
+  // Void slots have a null table (and id 0). `owner`: see
+  // release_owned (tree_common.h).
   struct Slot {
     NodeId id = 0;
     std::shared_ptr<const KVTable> table;
     bool recomputed_this_run = false;
+    bool owner = false;
   };
 
   void reset_to(std::vector<Leaf> leaves, TreeUpdateStats* stats);
   void grow();
-  void shrink(std::vector<std::size_t>& dirty_leaves);
+  void shrink(std::vector<std::size_t>& dirty_leaves, TreeUpdateStats* stats);
   void recompute_paths(std::vector<std::size_t> dirty_leaves,
                        TreeUpdateStats* stats);
 

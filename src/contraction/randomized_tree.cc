@@ -72,6 +72,7 @@ void RandomizedFoldingTree::contract(std::vector<Entry> level,
   if (level.empty()) {
     root_ = std::make_shared<const KVTable>();
     root_id_ = 0;
+    prune_to_live(memo_, live_, stats);
     return;
   }
 
@@ -239,11 +240,7 @@ void RandomizedFoldingTree::contract(std::vector<Entry> level,
 
   root_ = level[0].table;
   root_id_ = level[0].id;
-
-  // Prune the memo to live nodes (mirrors the master-side GC).
-  for (auto it = memo_.begin(); it != memo_.end();) {
-    it = live_.count(it->first) == 0 ? memo_.erase(it) : std::next(it);
-  }
+  prune_to_live(memo_, live_, stats);
 }
 
 std::shared_ptr<const KVTable> RandomizedFoldingTree::root() const {

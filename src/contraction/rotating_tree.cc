@@ -80,6 +80,7 @@ void RotatingTree::initial_build(std::vector<Leaf> leaves,
     slot.table = std::move(bucket.table);
     slot.split_count = bucket.split_count;
     slot.recomputed_this_run = true;
+    slot.owner = true;
     dirty[b] = b;
   };
   if (buckets_ >= kParallelLevelThreshold) {
@@ -149,6 +150,7 @@ void RotatingTree::initial_build(std::vector<Leaf> leaves,
                                          *right_table, node_stats, left.id,
                                          right.id);
         node.recomputed_this_run = true;
+        node.owner = true;
       }
     };
     if (next.size() >= kParallelLevelThreshold) {
@@ -169,6 +171,8 @@ void RotatingTree::initial_build(std::vector<Leaf> leaves,
 void RotatingTree::install_bucket(std::size_t slot_index, Bucket bucket,
                                   TreeUpdateStats* stats) {
   Slot& leaf = levels_[0][slot_index];
+  release_owned(leaf, stats);
+  leaf.owner = true;
   leaf.id = bucket.id;
   leaf.table = std::move(bucket.table);
   leaf.split_count = bucket.split_count;
@@ -189,13 +193,17 @@ void RotatingTree::install_bucket(std::size_t slot_index, Bucket bucket,
       const Slot& live = left.table != nullptr ? left : right;
       if (node.id != live.id) {
         charge_passthrough(ctx_, *live.table, stats, live.id, live.id);
+        release_owned(node, stats);
       }
+      node.owner = false;
       node.id = live.id;
       node.table = live.table;
       node.recomputed_this_run = live.recomputed_this_run;
       continue;
     }
     const NodeId id = internal_node_id(ctx_, left.id, right.id);
+    if (node.id != id) release_owned(node, stats);
+    node.owner = true;
     auto left_table = left.recomputed_this_run
                           ? left.table
                           : fetch_reused(ctx_, left.id, left.table, stats);
@@ -227,7 +235,7 @@ void RotatingTree::apply_delta(std::size_t remove_front,
     install_bucket(pending_install_->first, std::move(pending_install_->second),
                    stats);
     pending_install_.reset();
-    intermediate_.reset();
+    reset_intermediate(stats);
   }
 
   const Slot& victim = levels_[0][next_victim_];
@@ -249,16 +257,27 @@ void RotatingTree::apply_delta(std::size_t remove_front,
     // itself is updated in the next background phase.
     pending_install_ = {next_victim_, std::move(bucket)};
   } else {
-    intermediate_.reset();
+    reset_intermediate(stats);
     install_bucket(next_victim_, std::move(bucket), stats);
   }
   next_victim_ = (next_victim_ + 1) % buckets_;
 }
 
+void RotatingTree::reset_intermediate(TreeUpdateStats* stats) {
+  if (intermediate_.has_value() && intermediate_->owner && stats != nullptr) {
+    stats->released.push_back(intermediate_->id);
+  }
+  intermediate_.reset();
+}
+
 void RotatingTree::compute_intermediate(TreeUpdateStats* stats) {
   // Fold the off-path sibling node outputs of the next victim, bottom-up.
+  // Every merge is memoized, but only the last one stays referenced: the
+  // partial chains are released as soon as the next merge supersedes them.
   std::shared_ptr<const KVTable> acc;
   NodeId acc_id = 0;
+  bool acc_owned = false;
+  std::vector<NodeId> partials;
   std::size_t index = next_victim_;
   for (std::size_t k = 0; k + 1 < levels_.size(); ++k) {
     const std::size_t sibling_index = index ^ 1;
@@ -273,13 +292,26 @@ void RotatingTree::compute_intermediate(TreeUpdateStats* stats) {
       continue;
     }
     const NodeId prev_id = acc_id;
+    if (acc_owned) partials.push_back(prev_id);
     acc_id = internal_node_id(ctx_, acc_id, sibling.id);
     acc = combine_and_memoize(ctx_, combiner_, acc_id, *acc, *sibling_table,
                               stats, prev_id, sibling.id);
+    acc_owned = true;
   }
   if (stats != nullptr) stats->level = 0;
   if (acc == nullptr) acc = std::make_shared<const KVTable>();  // N == 1
-  intermediate_ = Intermediate{next_victim_, acc_id, std::move(acc)};
+  // A repeated background phase recomputes the same chain: keep what the
+  // new intermediate still references.
+  if (intermediate_.has_value() && intermediate_->id == acc_id) {
+    intermediate_->owner = false;
+  }
+  reset_intermediate(stats);
+  if (stats != nullptr) {
+    for (const NodeId id : partials) {
+      if (id != acc_id) stats->released.push_back(id);
+    }
+  }
+  intermediate_ = Intermediate{next_victim_, acc_id, std::move(acc), acc_owned};
 }
 
 void RotatingTree::background_preprocess(TreeUpdateStats* stats) {
@@ -411,6 +443,20 @@ bool RotatingTree::restore(durability::CheckpointReader& reader) {
   }
   // Foreground split mode requires both halves of {I, fresh bucket}.
   if (pending.has_value() && !intermediate.has_value()) return false;
+  derive_ownership(levels);
+  if (intermediate.has_value()) {
+    // A merge iff the victim has two or more non-void siblings; with one,
+    // the intermediate aliases it (the tree is unchanged since).
+    if (intermediate->victim >= levels.front().size()) return false;
+    std::size_t siblings = 0;
+    for (std::size_t k = 0, i = intermediate->victim; k + 1 < levels.size();
+         ++k, i /= 2) {
+      if ((i ^ 1) < levels[k].size() && levels[k][i ^ 1].table != nullptr) {
+        ++siblings;
+      }
+    }
+    intermediate->owner = siblings >= 2;
+  }
 
   levels_ = std::move(levels);
   buckets_ = static_cast<std::size_t>(buckets);

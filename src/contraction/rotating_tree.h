@@ -58,12 +58,17 @@ class RotatingTree final : public ContractionTree {
   bool has_precomputed_intermediate() const { return intermediate_.has_value(); }
 
  private:
+  // `owner`: see release_owned (tree_common.h).
   struct Slot {
     NodeId id = 0;
     std::shared_ptr<const KVTable> table;
     std::size_t split_count = 0;  // leaf level only
     bool recomputed_this_run = false;
+    bool owner = false;
   };
+
+  // Drops the intermediate, releasing its id when a merge produced it.
+  void reset_intermediate(TreeUpdateStats* stats);
 
   struct Bucket {
     NodeId id = 0;
@@ -94,6 +99,7 @@ class RotatingTree final : public ContractionTree {
     std::size_t victim = 0;  // slot the intermediate was computed for
     NodeId id = 0;
     std::shared_ptr<const KVTable> table;
+    bool owner = false;  // a merge of >= 2 siblings, not a sibling alias
   };
   std::optional<Intermediate> intermediate_;
   std::shared_ptr<const KVTable> fresh_bucket_table_;  // this run's bucket

@@ -110,19 +110,16 @@ void StrawmanTree::rebuild(TreeUpdateStats* stats) {
     root_ = std::make_shared<const KVTable>();
     root_id_ = 0;
     height_ = 0;
-    return;
+  } else {
+    const Built top = build_range(0, leaves_.size(), stats);
+    root_ = top.table;
+    root_id_ = top.id;
+    height_ = static_cast<int>(
+        std::ceil(std::log2(static_cast<double>(leaves_.size()))));
   }
-  const Built top = build_range(0, leaves_.size(), stats);
-  root_ = top.table;
-  root_id_ = top.id;
-  height_ = static_cast<int>(
-      std::ceil(std::log2(static_cast<double>(leaves_.size()))));
 
-  // Prune the memo to live nodes: anything unreachable from the current
-  // window is garbage (mirrors the master-side GC).
-  for (auto it = memo_.begin(); it != memo_.end();) {
-    it = live_.count(it->first) == 0 ? memo_.erase(it) : std::next(it);
-  }
+  // Anything unreachable from the current window is garbage.
+  prune_to_live(memo_, live_, stats);
 }
 
 TreeDescription StrawmanTree::describe() const {

@@ -105,6 +105,14 @@ struct TreeUpdateStats {
   // order is thread-count-invariant.
   std::vector<obs::NodeLineage> lineage;
 
+  // Memo ids this operation unlinked: entries the tree itself created
+  // (leaf, merge, fold) that no live node references any more. Net by
+  // construction — an id handed from one structure to another in the same
+  // operation (e.g. the flat tier's demotion) is never listed. The session
+  // hands the list to MemoStore::release, which makes memo GC proportional
+  // to the delta. Not a charge: nothing here enters the cost model.
+  std::vector<NodeId> released;
+
   // Fresh stats object carrying this object's charge context at `level`
   // and nothing charged — the seed for per-node partials in level loops.
   TreeUpdateStats at_level(std::uint16_t lvl) const {
@@ -124,6 +132,7 @@ struct TreeUpdateStats {
     memo_write_cost += o.memo_write_cost;
     attributed.merge(o.attributed);
     lineage.insert(lineage.end(), o.lineage.begin(), o.lineage.end());
+    released.insert(released.end(), o.released.begin(), o.released.end());
     return *this;
   }
 };
@@ -207,6 +216,8 @@ class ContractionTree {
   virtual TreeDescription describe() const = 0;
 
   // Node ids this tree still needs; everything else is garbage (§6 GC).
+  // Per-run GC does not use it (trees report what they unlink in
+  // TreeUpdateStats::released); only the post-restore sweep and tests do.
   virtual void collect_live_ids(std::unordered_set<NodeId>& live) const = 0;
 
   // --- checkpoint/restore (§6; src/durability) -------------------------

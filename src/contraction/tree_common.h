@@ -5,10 +5,55 @@
 #pragma once
 
 #include <span>
+#include <unordered_set>
+#include <vector>
 
 #include "contraction/tree.h"
 
 namespace slider {
+
+// Slot ownership in the level arrays of the folding and rotating trees:
+// `owner` marks the slot that created the memo entry for its id (a leaf,
+// bucket or merge); a passthrough aliases its live child's id and owns
+// nothing. An owner's id is listed as released when the slot is
+// overwritten or discarded.
+template <typename Slot>
+void release_owned(const Slot& slot, TreeUpdateStats* stats) {
+  if (slot.owner && stats != nullptr) stats->released.push_back(slot.id);
+}
+
+// Ownership is not checkpointed; in post-run state it is structural:
+// leaves own their ids, and an internal node is a merge iff both children
+// are non-void.
+template <typename Slot>
+void derive_ownership(std::vector<std::vector<Slot>>& levels) {
+  for (std::size_t k = 0; k < levels.size(); ++k) {
+    for (std::size_t j = 0; j < levels[k].size(); ++j) {
+      Slot& slot = levels[k][j];
+      slot.owner = slot.table != nullptr &&
+                   (k == 0 || (2 * j + 1 < levels[k - 1].size() &&
+                               levels[k - 1][2 * j].table != nullptr &&
+                               levels[k - 1][2 * j + 1].table != nullptr));
+    }
+  }
+}
+
+// Drops the entries of `memo` outside `live` and lists them as released.
+// The strawman and randomized trees keep every id they memoized in their
+// in-process memo, so what falls outside the live set after a run is
+// exactly what the run unlinked (their rebuild is O(window) by design).
+template <typename Memo>
+void prune_to_live(Memo& memo, const std::unordered_set<NodeId>& live,
+                   TreeUpdateStats* stats) {
+  for (auto it = memo.begin(); it != memo.end();) {
+    if (live.count(it->first) != 0) {
+      ++it;
+      continue;
+    }
+    if (stats != nullptr) stats->released.push_back(it->first);
+    it = memo.erase(it);
+  }
+}
 
 // Minimum number of independent same-level nodes before a tree hands the
 // level to the shared thread pool; below this the fork/join overhead beats

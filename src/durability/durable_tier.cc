@@ -80,12 +80,12 @@ std::size_t DurableTier::reopen_failed() {
 }
 
 std::optional<SegmentLog::CompactionResult> DurableTier::maybe_compact(
-    const std::unordered_set<LogKey>& live) {
+    const std::function<std::unordered_set<LogKey>()>& live_keys) {
   if (options_.compact_after_bytes == 0 ||
       bytes_since_compact_ < options_.compact_after_bytes) {
     return std::nullopt;
   }
-  return compact(live);
+  return compact(live_keys());
 }
 
 SegmentLog::CompactionResult DurableTier::compact(

@@ -10,12 +10,14 @@
 // numbers are assigned by the caller (MemoStore owns the sequence space);
 // recovery merges replicas by highest seq per key (recovery.h).
 //
-// Compaction piggybacks on the memo GC: MemoStore::retain_only already
-// computes the live-node set, and maybe_compact() rewrites the logs down
-// to it once enough garbage has accumulated.
+// Compaction piggybacks on the memo GC: once the store's index is the
+// live set (release-based GC drops exactly what the trees unlink),
+// maybe_compact() rewrites the logs down to the index once enough garbage
+// has accumulated.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -71,10 +73,11 @@ class DurableTier {
   // clears, reopen and resume). Returns how many logs were reopened.
   std::size_t reopen_failed();
 
-  // Compacts every replica down to `live` if compact_after_bytes of new
-  // records accumulated since the last compaction (nullopt otherwise).
+  // Compacts every replica down to `live_keys()` if compact_after_bytes of
+  // new records accumulated since the last compaction (nullopt otherwise).
+  // The live set is only built when a compaction is due.
   std::optional<SegmentLog::CompactionResult> maybe_compact(
-      const std::unordered_set<LogKey>& live);
+      const std::function<std::unordered_set<LogKey>()>& live_keys);
   // Unconditional compaction; result aggregates all replicas.
   SegmentLog::CompactionResult compact(
       const std::unordered_set<LogKey>& live);

@@ -75,7 +75,12 @@ std::uint64_t frame_bytes(const LogRecord& record) {
 
 }  // namespace
 
-IntegrityScrubber::IntegrityScrubber(DurableTier& tier) : tier_(tier) {}
+IntegrityScrubber::IntegrityScrubber(DurableTier& tier) : tier_(tier) {
+  // Register the scrub.* families when the scrubber is armed, so an alert
+  // on detected - repairs - quarantines reads 0 before the first verified
+  // record instead of an absent series.
+  instruments();
+}
 
 void IntegrityScrubber::begin_pass() {
   // Flush active segments so every completed append is within the bounds

@@ -306,8 +306,10 @@ SegmentLog::CompactionResult SegmentLog::compact(
 
   result.bytes_before = dir_bytes(dir_);
 
-  // Newest record per key across the whole log (append order == age order,
-  // ties broken by seq for robustness).
+  // Newest record per live key across the whole log (append order == age
+  // order, ties broken by seq for robustness). Records of keys outside
+  // `live` are dropped whatever their newest type, so they are never
+  // buffered: the scan holds only the survivors' payloads.
   struct Latest {
     bool seen = false;
     std::uint64_t seq = 0;
@@ -320,6 +322,7 @@ SegmentLog::CompactionResult SegmentLog::compact(
       dir_,
       [&](const LogRecord& record) {
         ++total_records;
+        if (live.find(record.key) == live.end()) return;
         Latest& slot = latest[record.key];
         if (slot.seen && record.seq < slot.seq) return;
         slot.seen = true;
@@ -337,7 +340,7 @@ SegmentLog::CompactionResult SegmentLog::compact(
   open_fresh_segment();
   std::uint64_t kept = 0;
   for (const auto& [key, slot] : latest) {
-    if (!slot.is_put || live.find(key) == live.end()) continue;
+    if (!slot.is_put) continue;
     const std::string frame =
         encode_record(LogRecordType::kPut, slot.seq, key, slot.payload);
     if (!write_raw(frame)) break;

@@ -25,8 +25,8 @@
 //   * everything else is surfaced to the callback in append order.
 //
 // Compaction rewrites the log keeping only the newest record of each key
-// in a caller-provided live set — the GC hook: MemoStore::retain_only
-// already computes exactly that set.
+// in a caller-provided live set — the GC hook: the memo store's index is
+// exactly that set (see DurableTier::maybe_compact).
 #pragma once
 
 #include <cstdint>

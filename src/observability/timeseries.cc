@@ -22,6 +22,7 @@ void AggregateSample::fold(const SlideSample& s) {
   combiner_invocations += s.combiner_invocations;
   combiner_reused += s.combiner_reused;
   nodes_visited += s.nodes_visited;
+  gc_released += s.gc_released;
   task_retries += s.task_retries;
   failed_attempts += s.failed_attempts;
   if (s.durable_degraded) ++degraded_samples;
@@ -100,6 +101,7 @@ std::string TimeSeries::timeseries_to_json(const TimeSeriesSnapshot& snapshot) {
     json.key("combiner_invocations").value(a.combiner_invocations);
     json.key("combiner_reused").value(a.combiner_reused);
     json.key("nodes_visited").value(a.nodes_visited);
+    json.key("gc_released").value(a.gc_released);
     json.key("task_retries").value(a.task_retries);
     json.key("failed_attempts").value(a.failed_attempts);
     json.key("degraded_samples").value(a.degraded_samples);
@@ -123,6 +125,7 @@ std::string TimeSeries::timeseries_to_json(const TimeSeriesSnapshot& snapshot) {
     json.key("combiner_reused").value(s.combiner_reused);
     json.key("nodes_visited").value(s.nodes_visited);
     json.key("memo_hit_rate").value(s.memo_hit_rate());
+    json.key("gc_released").value(s.gc_released);
     json.key("task_retries").value(s.task_retries);
     json.key("failed_attempts").value(s.failed_attempts);
     json.key("durable_degraded").value(s.durable_degraded);

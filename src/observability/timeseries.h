@@ -73,6 +73,8 @@ struct SlideSample {
   std::uint64_t combiner_invocations = 0;
   std::uint64_t combiner_reused = 0;
   std::uint64_t nodes_visited = 0;
+  // Memo entries the run's release-based GC freed (a count, not a cost).
+  std::uint64_t gc_released = 0;
   std::uint64_t task_retries = 0;
   std::uint64_t failed_attempts = 0;
   bool durable_degraded = false;  // store was degraded at the boundary
@@ -95,6 +97,7 @@ struct AggregateSample {
   std::uint64_t combiner_invocations = 0;
   std::uint64_t combiner_reused = 0;
   std::uint64_t nodes_visited = 0;
+  std::uint64_t gc_released = 0;
   std::uint64_t task_retries = 0;
   std::uint64_t failed_attempts = 0;
   std::uint64_t degraded_samples = 0;  // samples folded while degraded

@@ -33,10 +33,8 @@ QueryPipeline::QueryPipeline(const VanillaEngine& engine, MemoStore& memo,
                              PipelineConfig config)
     : engine_(&engine), memo_(&memo), config_(std::move(config)) {
   SLIDER_CHECK(!stages.empty()) << "pipeline needs at least one stage";
-  // The pipeline runs a global GC across all stages; the first-stage
-  // session must not collect on its own (it would free later stages'
-  // memoized nodes from the shared store).
-  config_.first_stage.run_gc = false;
+  // Every stage shares the store; GC is release-based, so the first-stage
+  // session and each later-stage tree free only the ids they unlinked.
   first_ = std::make_unique<SliderSession>(engine, memo, stages[0],
                                            config_.first_stage);
 
@@ -63,7 +61,6 @@ QueryPipeline::QueryPipeline(const VanillaEngine& engine, MemoStore& memo,
 RunMetrics QueryPipeline::initial_run(std::vector<SplitPtr> splits) {
   RunMetrics metrics = first_->initial_run(std::move(splits));
   metrics += run_all_later_stages();
-  garbage_collect();
   return metrics;
 }
 
@@ -71,7 +68,6 @@ RunMetrics QueryPipeline::slide(std::size_t remove_front,
                                 std::vector<SplitPtr> added) {
   RunMetrics metrics = first_->slide(remove_front, std::move(added));
   metrics += run_all_later_stages();
-  garbage_collect();
   return metrics;
 }
 
@@ -131,6 +127,7 @@ RunMetrics QueryPipeline::run_later_stage(LaterStage& stage,
     }
     TreeUpdateStats ts;
     stage.trees[p]->initial_build(std::move(leaves), &ts);
+    memo_->release(ts.released);
     const obs::CauseWork work = ts.attributed.total();
 
     const SimDuration contraction =
@@ -165,15 +162,6 @@ RunMetrics QueryPipeline::run_later_stage(LaterStage& stage,
 const std::vector<KVTable>& QueryPipeline::output() const {
   if (later_stages_.empty()) return first_->output();
   return later_stages_.back().outputs;
-}
-
-void QueryPipeline::garbage_collect() {
-  std::unordered_set<NodeId> live;
-  first_->collect_live_ids(live);
-  for (const LaterStage& stage : later_stages_) {
-    for (const auto& tree : stage.trees) tree->collect_live_ids(live);
-  }
-  memo_->retain_only(live);
 }
 
 PipelineResult vanilla_pipeline_run(const VanillaEngine& engine,

@@ -49,7 +49,6 @@ class QueryPipeline {
   RunMetrics run_later_stage(LaterStage& stage,
                              const std::vector<KVTable>& input);
   RunMetrics run_all_later_stages();
-  void garbage_collect();
 
   const VanillaEngine* engine_;
   MemoStore* memo_;

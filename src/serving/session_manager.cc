@@ -76,9 +76,9 @@ SessionManager::SessionManager(const VanillaEngine& engine, MemoStore& memo,
 SessionManager::~SessionManager() {
   introspect_.reset();  // handlers must die before the tenants they read
   // The pinned set exists for this manager's cold checkpoints; leaving it
-  // behind would silently exempt ids from the store's eviction policies
-  // for whoever uses the store next.
-  memo_->set_pinned_ids(nullptr);
+  // behind would silently exempt tenants from the store's eviction
+  // policies for whoever uses the store next.
+  memo_->set_pinned_tenants(nullptr);
   if (owns_spool_dir_) {
     std::error_code ec;
     std::filesystem::remove_all(options_.spool_dir, ec);
@@ -102,9 +102,6 @@ bool SessionManager::add_tenant(TenantSpec spec,
     state->config.record_provenance = true;
     state->config.provenance = state->provenance.get();
   }
-  // GC over a shared store must see every tenant's live set at once; a
-  // single session's GC would collect its neighbours (garbage_collect()).
-  state->config.run_gc = false;
   state->config.introspect_port = -1;  // the manager owns the fleet endpoint
   state->spool_dir =
       (std::filesystem::path(options_.spool_dir) /
@@ -189,15 +186,13 @@ bool SessionManager::hydrate_locked(TenantState& state) {
   ++state.counters.hydrations;
   {
     std::lock_guard<std::mutex> cold(cold_mutex_);
-    cold_ids_.erase(state.name);
+    cold_tenants_.erase(state.salt);
     refresh_pinned_locked();
   }
   return true;
 }
 
 void SessionManager::checkpoint_locked(TenantState& state) {
-  std::unordered_set<NodeId> live;
-  state.session->collect_live_ids(live);
   if (!state.session->checkpoint(state.spool_dir)) {
     SLIDER_LOG(Warning) << "tenant " << state.name
                         << ": idle checkpoint failed; keeping the session hot";
@@ -205,7 +200,7 @@ void SessionManager::checkpoint_locked(TenantState& state) {
   }
   {
     std::lock_guard<std::mutex> cold(cold_mutex_);
-    cold_ids_[state.name] = std::move(live);
+    cold_tenants_.insert(state.salt);
     refresh_pinned_locked();
   }
   state.session.reset();
@@ -215,15 +210,11 @@ void SessionManager::checkpoint_locked(TenantState& state) {
 }
 
 void SessionManager::refresh_pinned_locked() {
-  if (cold_ids_.empty()) {
-    memo_->set_pinned_ids(nullptr);
-    return;
-  }
-  auto pinned = std::make_shared<std::unordered_set<NodeId>>();
-  for (const auto& [name, ids] : cold_ids_) {
-    pinned->insert(ids.begin(), ids.end());
-  }
-  memo_->set_pinned_ids(std::move(pinned));
+  memo_->set_pinned_tenants(
+      cold_tenants_.empty()
+          ? nullptr
+          : std::make_shared<const std::unordered_set<std::uint64_t>>(
+                cold_tenants_));
 }
 
 std::size_t SessionManager::run_pending() {
@@ -276,26 +267,10 @@ std::size_t SessionManager::run_pending() {
         std::max<std::uint64_t>(1, executed.load(std::memory_order_relaxed));
     memo_->scrub_durable(options_.scrub_records_per_cycle * tranches);
   }
-  if (options_.auto_gc) garbage_collect();
   return executed.load(std::memory_order_relaxed);
 }
 
-std::size_t SessionManager::garbage_collect() {
-  std::shared_lock<std::shared_mutex> registry(registry_mutex_);
-  if (tenants_.empty()) return 0;
-  std::unordered_set<NodeId> live;
-  for (const auto& [name, state] : tenants_) {
-    std::lock_guard<std::mutex> lock(state->mutex);
-    if (state->session != nullptr) state->session->collect_live_ids(live);
-  }
-  {
-    std::lock_guard<std::mutex> cold(cold_mutex_);
-    for (const auto& [name, ids] : cold_ids_) {
-      live.insert(ids.begin(), ids.end());
-    }
-  }
-  return memo_->retain_only(live);
-}
+std::size_t SessionManager::garbage_collect() { return 0; }
 
 std::size_t SessionManager::tenant_count() const {
   std::shared_lock<std::shared_mutex> registry(registry_mutex_);

@@ -24,9 +24,12 @@
 //     queue grow without bound;
 //   * lifecycle: sessions idle for `idle_checkpoint_rounds` consecutive
 //     run_pending() cycles are checkpointed to a spool directory and
-//     destroyed; their live memo ids are pinned against whole-entry
-//     eviction so the checkpoint's by-ref payloads survive, and the next
-//     submitted slide transparently re-hydrates via restore().
+//     destroyed; their tenant is pinned against whole-entry eviction so
+//     the checkpoint's by-ref payloads survive, and the next submitted
+//     slide transparently re-hydrates via restore();
+//   * memo GC: release-based inside every session (each frees only the
+//     salted ids its own trees unlinked), so no fleet-wide live set is
+//     ever built.
 //
 // Observability: an optional fleet IntrospectionServer serves /healthz
 // (per-tenant SLO verdicts aggregated to one fleet verdict), /metrics
@@ -62,9 +65,8 @@ namespace slider::serving {
 
 // One tenant's registration: a standing job plus its session config. The
 // manager overwrites config.tenant (= name), config.timeseries (= the
-// tenant's private sink), config.run_gc (= false: GC over a shared store
-// must be fleet-global, see garbage_collect()), and
-// config.introspect_port (= -1: the manager owns the fleet endpoint).
+// tenant's private sink), and config.introspect_port (= -1: the manager
+// owns the fleet endpoint).
 struct TenantSpec {
   std::string name;  // non-empty; unique within the manager
   JobSpec job;
@@ -96,8 +98,9 @@ struct SessionManagerOptions {
   // Spool root for idle-session checkpoints; empty = a directory under
   // the system temp dir, unique to this manager instance.
   std::string spool_dir;
-  // Run the fleet-global memo GC automatically at the end of every
-  // run_pending() drain.
+  // Historical: memo GC used to be a fleet-wide pass after every drain.
+  // It is now release-based inside each session, so this has no effect;
+  // kept so existing drivers that set it still build.
   bool auto_gc = true;
   // Fleet-level integrity scrubbing of the shared store's durable tier
   // (durability/scrubber.h): when > 0, every run_pending() drain verifies
@@ -172,10 +175,9 @@ class SessionManager {
   // number of runs executed.
   std::size_t run_pending();
 
-  // Fleet-global memo GC: retains exactly the union of every live
-  // session's live ids and every cold checkpoint's pinned ids. Called
-  // automatically by run_pending() when options.auto_gc; callable
-  // directly when driving sessions manually. Returns entries collected.
+  // Kept for drivers that run a GC after each drain. Memo GC is release-
+  // based inside every session's runs, so there is nothing fleet-wide to
+  // collect: returns 0.
   std::size_t garbage_collect();
 
   std::size_t tenant_count() const;
@@ -224,7 +226,7 @@ class SessionManager {
     std::string name;
     std::uint64_t salt = 0;  // hash_string(name)
     JobSpec job;
-    SliderConfig config;  // tenant/timeseries/run_gc/introspect set
+    SliderConfig config;  // tenant/timeseries/introspect set
     std::string spool_dir;
     // Private time-series sink; SLOs evaluate over this, so a noisy
     // neighbour cannot breach this tenant's objectives.
@@ -250,8 +252,8 @@ class SessionManager {
   bool hydrate_locked(TenantState& state);
   // Checkpoints an idle session out. Caller holds state.mutex.
   void checkpoint_locked(TenantState& state);
-  // Rebuilds the pinned-id union from cold_ids_ and installs it on the
-  // store. Caller holds cold_mutex_.
+  // Installs cold_tenants_ as the store's pinned tenants. Caller holds
+  // cold_mutex_.
   void refresh_pinned_locked();
 
   TenantStatus status_of(const TenantState& state) const;
@@ -270,10 +272,10 @@ class SessionManager {
   std::unordered_map<std::string, std::unique_ptr<TenantState>> tenants_;
   std::vector<std::vector<TenantState*>> shards_;
 
-  // Cold tenants' live-id sets, pinned against whole-entry eviction so
-  // their checkpoints' by-ref payloads survive until re-hydration.
+  // Cold tenants' salts, pinned against whole-entry eviction so their
+  // checkpoints' by-ref payloads survive until re-hydration.
   mutable std::mutex cold_mutex_;
-  std::unordered_map<std::string, std::unordered_set<NodeId>> cold_ids_;
+  std::unordered_set<std::uint64_t> cold_tenants_;
 
   std::atomic<std::size_t> total_pending_{0};
   std::mutex run_mutex_;  // run_pending is one-drain-at-a-time

@@ -420,6 +420,7 @@ RunMetrics SliderSession::initial_run(std::vector<SplitPtr> splits) {
 
   contraction_and_reduce(tree_stats, new_leaf_bytes, obs::RunKind::kInitial,
                          /*removed=*/0, added_count, metrics, wall_start);
+  sweep_recovered();
   return metrics;
 }
 
@@ -683,16 +684,16 @@ void SliderSession::contraction_and_reduce(
   }
   sim_clock_ += metrics.map_time + stage.makespan;
 
-  if (config_.run_gc) garbage_collect();
-  observe_run(run_kind, removed, added, metrics, tree_stats, run, sim_start,
-              metrics.time, wall_start);
+  const std::size_t gc_released = garbage_collect(tree_stats);
+  observe_run(run_kind, removed, added, metrics, tree_stats, run, gc_released,
+              sim_start, metrics.time, wall_start);
 }
 
 void SliderSession::observe_run(
     obs::RunKind run_kind, std::size_t removed, std::size_t added,
     const RunMetrics& metrics, std::vector<TreeUpdateStats>& tree_stats,
-    const obs::RunWork& run, double sim_start, double sim_latency,
-    std::chrono::steady_clock::time_point wall_start) {
+    const obs::RunWork& run, std::size_t gc_released, double sim_start,
+    double sim_latency, std::chrono::steady_clock::time_point wall_start) {
   // Opportunistic durable recovery: the degraded flag otherwise only
   // clears on a durable *write*, so a session that went quiet on the
   // durable tier after the fault healed would report degraded forever.
@@ -734,6 +735,7 @@ void SliderSession::observe_run(
     sample.combiner_invocations = run.total.combiner_invocations;
     sample.combiner_reused = run.total.combiner_reused;
     sample.nodes_visited = run.total.nodes_visited;
+    sample.gc_released = gc_released;
     sample.task_retries = metrics.task_retries;
     sample.failed_attempts = metrics.failed_attempts;
     sample.durable_degraded = memo_->durable_degraded();
@@ -870,10 +872,10 @@ RunMetrics SliderSession::run_background() {
     }
   }
   sim_clock_ += stage.makespan;
-  if (config_.run_gc) garbage_collect();
+  const std::size_t gc_released = garbage_collect(tree_stats);
   observe_run(obs::RunKind::kBackground, /*removed=*/0, /*added=*/0, metrics,
-              tree_stats, run, sim_start, metrics.background_time,
-              wall_start);
+              tree_stats, run, gc_released, sim_start,
+              metrics.background_time, wall_start);
   return metrics;
 }
 
@@ -1024,19 +1026,35 @@ bool SliderSession::restore(const std::string& dir) {
   output_ = std::move(output);
   sim_clock_ = std::bit_cast<SimDuration>(clock_bits);
   initialized_ = true;
+  sweep_recovered();
   // Slides from here until end_recovery_replay() are catch-up work; their
   // tree charges bill to recovery_replay (see work_ledger.h).
   replaying_ = true;
   return true;
 }
 
-void SliderSession::garbage_collect() {
+std::size_t SliderSession::garbage_collect(
+    const std::vector<TreeUpdateStats>& tree_stats) {
   SLIDER_TRACE_SPAN("session", "session.gc");
-  std::unordered_set<NodeId> live;
-  collect_live_ids(live);
-  [[maybe_unused]] const std::size_t collected = memo_->retain_only(live);
+  std::vector<NodeId> released;
+  for (const TreeUpdateStats& ts : tree_stats) {
+    released.insert(released.end(), ts.released.begin(), ts.released.end());
+  }
+  const std::size_t collected = memo_->release(released);
   SLIDER_TRACE_EVENT("session", "gc.collected",
                      {{"entries", static_cast<double>(collected)}});
+  return collected;
+}
+
+void SliderSession::sweep_recovered() {
+  // The one full sweep: recovery may have resurrected entries that a
+  // pre-crash run released (GC never tombstones), and no release list will
+  // ever name them. Skipped, at no cost, unless the store holds recovered
+  // entries no sweep has claimed yet.
+  if (!memo_->has_unclaimed_recovered()) return;
+  std::unordered_set<NodeId> live;
+  collect_live_ids(live);
+  memo_->retain_only(live, tenant_salt_);
 }
 
 void SliderSession::collect_live_ids(std::unordered_set<NodeId>& live) const {

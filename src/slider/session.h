@@ -9,7 +9,9 @@
 // pre-computation on a best-effort basis.
 //
 // The session also owns the §6 systems glue: the memoization-aware /
-// hybrid reduce scheduling, the master-side garbage collector, and the
+// hybrid reduce scheduling, the master-side garbage collector (release-
+// based: each run frees exactly the memo entries its trees unlinked, so
+// sessions sharing a store never collect each other's), and the
 // interaction with the fault-tolerant memo store.
 #pragma once
 
@@ -49,7 +51,6 @@ struct SliderConfig {
   double boundary_probability = 0.5;  // randomized folding tree
   // Folding tree: §3.2 rebalancing factor (0 = never rebuild).
   std::size_t rebalance_factor = 0;
-  bool run_gc = true;
   SchedulePolicy reduce_policy = SchedulePolicy::kHybrid;
   // Straggler speculation threshold, forwarded to HybridOptions (§6 /
   // Table 1): with kHybrid, tasks placed on a machine whose duration
@@ -178,12 +179,14 @@ class SliderSession {
   // initialized: output() serves the checkpointed result and the next
   // slide() performs delta-proportional work, exactly as if the process
   // had never died. Returns false (leaving the session unusable) on any
-  // validation failure.
+  // validation failure. Over a store restore_from_durable() rebuilt, the
+  // first restore (or initial_run) sweeps it once: recovery resurrects
+  // entries the GC released (GC never tombstones), and no release list
+  // names them. See MemoStore::retain_only for what the sweep collects.
   bool restore(const std::string& dir);
 
-  // Node ids the session's trees still need. Exposed so that a composite
-  // runtime (e.g. a multi-stage query pipeline sharing this MemoStore)
-  // can run a global GC instead of the session's own (set run_gc=false).
+  // Node ids the session's trees still need: the post-recovery sweep's live
+  // set, and the reference a test compares the store's index against.
   void collect_live_ids(std::unordered_set<NodeId>& live) const;
 
   // Structure dump of one partition's contraction tree (the /tree route).
@@ -231,7 +234,8 @@ class SliderSession {
   };
 
   // Shared tail of initial_run/slide: run the contraction + reduce stage
-  // from the per-partition deltas gathered in `stats`, then GC. Commits
+  // from the per-partition deltas gathered in `stats`, then release what
+  // the trees unlinked. Commits
   // the run's causal attribution to the process-wide WorkLedger and the
   // run's SlideSample to the process-wide TimeSeries (`wall_start` is the
   // host clock at the run's entry point, for the wall-latency sample).
@@ -250,10 +254,15 @@ class SliderSession {
   void observe_run(obs::RunKind run_kind, std::size_t removed,
                    std::size_t added, const RunMetrics& metrics,
                    std::vector<TreeUpdateStats>& tree_stats,
-                   const obs::RunWork& run, double sim_start,
-                   double sim_latency,
+                   const obs::RunWork& run, std::size_t gc_released,
+                   double sim_start, double sim_latency,
                    std::chrono::steady_clock::time_point wall_start);
-  void garbage_collect();
+  // Release-based GC: hands every id the run's trees unlinked to
+  // MemoStore::release. Returns the entries freed.
+  std::size_t garbage_collect(const std::vector<TreeUpdateStats>& tree_stats);
+  // The full sweep of a recovered store (MemoStore::retain_only against
+  // collect_live_ids); a no-op once no recovered entry is unclaimed.
+  void sweep_recovered();
   void maybe_start_introspection();
   // Exclusive lock over session state while the server is live; a no-op
   // (default-constructed lock) when introspection is disabled, so the

@@ -29,6 +29,8 @@ struct MemoInstruments {
   obs::Counter& failure_forced_misses;
   obs::Counter& checksum_failures;
   obs::Counter& replica_writes;
+  // Entries freed by GC (release or the post-recovery sweep).
+  obs::Counter& gc_released;
   // Entries (and their payload bytes) restore_from_durable() installed;
   // durability.recovered_entries counts the log records recovery found.
   obs::Counter& recovered_entries;
@@ -57,6 +59,7 @@ MemoInstruments& memo_instruments() {
         stats.counter("memo.failure_forced_misses"),
         stats.counter("memo.checksum_failures"),
         stats.counter("memo.replica_writes"),
+        stats.counter("memo.gc_released"),
         stats.counter("memo.recovered_entries"),
         stats.counter("memo.recovered_bytes"),
         stats.counter("durability.degraded_intervals"),
@@ -111,6 +114,18 @@ void MemoStore::install_memory(Shard& shard, NodeId id, Entry& entry,
   entry.lru_position = shard.lru.begin();
   entry.touch_seq = next_touch_seq_.fetch_add(1, std::memory_order_relaxed);
   memory_bytes_.fetch_add(entry.bytes, std::memory_order_relaxed);
+}
+
+std::unordered_map<NodeId, MemoStore::Entry>::iterator MemoStore::drop_entry(
+    Shard& shard, std::unordered_map<NodeId, Entry>::iterator it) {
+  drop_memory(shard, it->second);
+  total_bytes_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
+  account_erase(it->second.tenant, it->second.bytes);
+  entry_count_.fetch_sub(1, std::memory_order_relaxed);
+  if (it->second.recovered) {
+    unclaimed_recovered_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  return shard.index.erase(it);
 }
 
 void MemoStore::drop_memory(Shard& shard, Entry& entry) {
@@ -209,7 +224,7 @@ void MemoStore::enforce_entry_budget() {
     for (std::size_t s = 0; s < kShards; ++s) {
       std::lock_guard<std::mutex> lock(shards_[s].mutex);
       for (const auto& [id, entry] : shards_[s].index) {
-        if (pinned != nullptr && pinned->count(id) != 0) continue;
+        if (pinned != nullptr && pinned->count(entry.tenant) != 0) continue;
         if (victim_shard == kShards || entry.write_seq < victim_seq) {
           victim = id;
           victim_shard = s;
@@ -224,11 +239,7 @@ void MemoStore::enforce_entry_budget() {
     const auto it = shard.index.find(victim);
     if (it == shard.index.end()) continue;
     if (it->second.durable) durable_victims.push_back(victim);
-    drop_memory(shard, it->second);
-    total_bytes_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
-    account_erase(it->second.tenant, it->second.bytes);
-    shard.index.erase(it);
-    entry_count_.fetch_sub(1, std::memory_order_relaxed);
+    drop_entry(shard, it);
     // Remember the id so a later miss on it is classified as
     // eviction-forced (bounded set; see Shard::evicted).
     if (shard.evicted.size() >= kEvictedSetCap) shard.evicted.clear();
@@ -264,7 +275,9 @@ void MemoStore::enforce_tenant_quota(std::uint64_t tenant) {
             cell.entries.load(std::memory_order_relaxed) > quota_entries);
   };
   if (!over()) return;
+  // A pinned (cold) tenant keeps every entry its checkpoint references.
   const auto pinned = pinned_snapshot();
+  if (pinned != nullptr && pinned->count(tenant) != 0) return;
   std::vector<NodeId> durable_victims;
   std::lock_guard<std::mutex> evict_lock(evict_mutex_);
   // Evict the over-quota tenant's OWN oldest-written entries until it
@@ -280,7 +293,6 @@ void MemoStore::enforce_tenant_quota(std::uint64_t tenant) {
       std::lock_guard<std::mutex> lock(shards_[s].mutex);
       for (const auto& [id, entry] : shards_[s].index) {
         if (entry.tenant != tenant) continue;
-        if (pinned != nullptr && pinned->count(id) != 0) continue;
         if (victim_shard == kShards || entry.write_seq < victim_seq) {
           victim = id;
           victim_shard = s;
@@ -288,18 +300,14 @@ void MemoStore::enforce_tenant_quota(std::uint64_t tenant) {
         }
       }
     }
-    if (victim_shard == kShards) break;  // only pinned entries remain
+    if (victim_shard == kShards) break;  // the tenant has no entries left
 
     Shard& shard = shards_[victim_shard];
     std::lock_guard<std::mutex> lock(shard.mutex);
     const auto it = shard.index.find(victim);
     if (it == shard.index.end()) continue;
     if (it->second.durable) durable_victims.push_back(victim);
-    drop_memory(shard, it->second);
-    total_bytes_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
-    account_erase(tenant, it->second.bytes);
-    shard.index.erase(it);
-    entry_count_.fetch_sub(1, std::memory_order_relaxed);
+    drop_entry(shard, it);
     if (shard.evicted.size() >= kEvictedSetCap) shard.evicted.clear();
     shard.evicted.insert(victim);
     cell.quota_evictions.fetch_add(1, std::memory_order_relaxed);
@@ -338,14 +346,14 @@ bool MemoStore::tenant_over_byte_quota(std::uint64_t tenant) const {
   return quota != 0 && cell.bytes.load(std::memory_order_relaxed) > quota;
 }
 
-std::shared_ptr<const std::unordered_set<NodeId>> MemoStore::pinned_snapshot()
-    const {
+std::shared_ptr<const std::unordered_set<std::uint64_t>>
+MemoStore::pinned_snapshot() const {
   std::lock_guard<std::mutex> lock(pinned_mutex_);
   return pinned_;
 }
 
-void MemoStore::set_pinned_ids(
-    std::shared_ptr<const std::unordered_set<NodeId>> pinned) {
+void MemoStore::set_pinned_tenants(
+    std::shared_ptr<const std::unordered_set<std::uint64_t>> pinned) {
   std::lock_guard<std::mutex> lock(pinned_mutex_);
   pinned_ = std::move(pinned);
 }
@@ -387,6 +395,17 @@ std::vector<TenantUsage> MemoStore::tenant_usage_snapshot() const {
   return usages;
 }
 
+std::unordered_set<NodeId> MemoStore::tenant_ids(std::uint64_t tenant) const {
+  std::unordered_set<NodeId> ids;
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    for (const auto& [id, entry] : shard.index) {
+      if (entry.tenant == tenant) ids.insert(id);
+    }
+  }
+  return ids;
+}
+
 void MemoStore::set_memory_capacity_bytes(std::uint64_t capacity) {
   memory_capacity_bytes_.store(capacity, std::memory_order_relaxed);
   evict_to_capacity();
@@ -424,6 +443,10 @@ MemoWriteResult MemoStore::put(NodeId id, std::shared_ptr<const KVTable> table,
         // re-put claims it for quota accounting.
         entry.tenant = tenant;
         account_insert(tenant_cell(tenant), entry.bytes);
+        if (entry.recovered) {
+          entry.recovered = false;  // claimed: the writer references it
+          unclaimed_recovered_.fetch_sub(1, std::memory_order_relaxed);
+        }
       }
       // Content-addressed: a re-put of the same id pays no persistent
       // write. It refreshes the memory tier on the entry's home machine:
@@ -636,11 +659,7 @@ void MemoStore::erase(NodeId id) {
     const auto it = shard.index.find(id);
     if (it == shard.index.end()) return;
     was_durable = it->second.durable;
-    drop_memory(shard, it->second);
-    total_bytes_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
-    account_erase(it->second.tenant, it->second.bytes);
-    shard.index.erase(it);
-    entry_count_.fetch_sub(1, std::memory_order_relaxed);
+    drop_entry(shard, it);
   }
   if (was_durable && durable_ != nullptr) {
     durable_append(id, next_write_seq_.fetch_add(1, std::memory_order_relaxed),
@@ -649,33 +668,75 @@ void MemoStore::erase(NodeId id) {
   refresh_gauges();
 }
 
-std::size_t MemoStore::retain_only(const std::unordered_set<NodeId>& live) {
+std::size_t MemoStore::release(std::span<const NodeId> ids) {
+  std::size_t collected = 0;
+  for (const NodeId id : ids) {
+    Shard& shard = shard_of(id);
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    const auto it = shard.index.find(id);
+    if (it == shard.index.end()) continue;
+    drop_entry(shard, it);
+    ++collected;
+  }
+  finish_gc(collected);
+  return collected;
+}
+
+std::size_t MemoStore::retain_only(const std::unordered_set<NodeId>& live,
+                                   std::uint64_t tenant) {
   std::size_t collected = 0;
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
     for (auto it = shard.index.begin(); it != shard.index.end();) {
-      if (live.count(it->first) == 0) {
-        drop_memory(shard, it->second);
-        total_bytes_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
-        account_erase(it->second.tenant, it->second.bytes);
-        it = shard.index.erase(it);
-        entry_count_.fetch_sub(1, std::memory_order_relaxed);
+      Entry& entry = it->second;
+      if (entry.tenant != tenant && !entry.recovered) {
+        ++it;  // a neighbour's entry
+      } else if (live.count(it->first) == 0) {
+        it = drop_entry(shard, it);
         ++collected;
       } else {
+        if (entry.recovered) {
+          // Recovered untenanted; the sweeping session's tree references
+          // it, so that session's tenant claims it (as a re-put would).
+          entry.recovered = false;
+          unclaimed_recovered_.fetch_sub(1, std::memory_order_relaxed);
+          if (entry.tenant != tenant) {
+            entry.tenant = tenant;
+            account_insert(tenant_cell(tenant), entry.bytes);
+          }
+        }
         ++it;
       }
     }
   }
-  if (durable_ != nullptr) {
-    // GC does not tombstone (a tombstone per collected node would flood
-    // the log every slide); instead the live set drives log compaction.
-    // Consequence: recovery may resurrect entries the GC dropped — the
-    // first post-restore GC prunes them again (documented invariant).
+  finish_gc(collected);
+  return collected;
+}
+
+void MemoStore::finish_gc(std::size_t collected) {
+  memo_instruments().gc_released.add(collected);
+  // A pass that collected nothing left no new garbage for compaction to
+  // reclaim, so the check waits for one that did: an initial build appends
+  // its whole window and releases nothing, and compacting in the middle of
+  // a fleet's set-up would rewrite a log that is all live.
+  if (durable_ != nullptr && collected != 0) {
+    // GC does not tombstone; the index, which release-based GC keeps equal
+    // to the live set, drives log compaction instead. Consequence: recovery
+    // may resurrect entries the GC dropped, which the first session run
+    // over the recovered store sweeps again (documented invariant). Lock
+    // order: durable_mutex_ before shard mutexes.
     std::lock_guard<std::mutex> dlock(durable_mutex_);
-    durable_->maybe_compact(live);
+    durable_->maybe_compact([this] {
+      std::unordered_set<NodeId> index;
+      index.reserve(size());
+      for (const Shard& shard : shards_) {
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        for (const auto& [id, entry] : shard.index) index.insert(id);
+      }
+      return index;
+    });
   }
   refresh_gauges();
-  return collected;
 }
 
 void MemoStore::drop_memory_on_failed() {
@@ -735,6 +796,8 @@ std::size_t MemoStore::restore_from_durable(
     }
     entry.write_seq = seq;  // preserve pre-crash age ordering
     entry.durable = true;
+    entry.recovered = true;  // until a sweep or a tenanted re-put claims it
+    unclaimed_recovered_.fetch_add(1, std::memory_order_relaxed);
     // Memory tier starts cold; reads repopulate it lazily.
     total_bytes_.fetch_add(entry.bytes, std::memory_order_relaxed);
     entry_count_.fetch_add(1, std::memory_order_relaxed);

@@ -9,7 +9,9 @@
 // A shim I/O layer serves reads from the cheapest live tier and charges the
 // simulated read cost accordingly; this tiering is exactly what Table 2
 // measures. A master-side index tracks every entry so the garbage
-// collector can free state that fell out of the window.
+// collector can free state that fell out of the window: each run hands the
+// ids its trees unlinked to release(), so the index stays exactly the live
+// set at a cost proportional to the delta.
 //
 // Thread safety: the store is shared by every partition's contraction tree
 // and the parallel map stage, so all public methods are safe for
@@ -30,6 +32,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -187,14 +190,19 @@ class MemoStore {
   // (untenanted writes) is excluded from the fleet snapshot.
   TenantUsage tenant_usage(std::uint64_t tenant) const;
   std::vector<TenantUsage> tenant_usage_snapshot() const;
+  // Ids of the entries `tenant` owns (0 = untenanted). O(index): the debug
+  // check of release-based GC compares it with a session's live ids.
+  std::unordered_set<NodeId> tenant_ids(std::uint64_t tenant) const;
 
-  // Ids that whole-entry eviction policies (entry budget + tenant quota)
-  // must not drop: a cold-checkpointed session's live set references these
-  // by-id from its checkpoint blob, so evicting one would strand the
-  // checkpoint. Memory-LRU may still drop their memory copies (the
-  // persistent bytes keep serving peek()/restore). Pass nullptr to clear.
-  void set_pinned_ids(
-      std::shared_ptr<const std::unordered_set<NodeId>> pinned);
+  // Tenants whose entries whole-entry eviction policies (entry budget +
+  // tenant quota) must not drop: a cold-checkpointed session references
+  // its entries by-id from its checkpoint blob, so evicting one would
+  // strand the checkpoint. With release-based GC a tenant's entries are
+  // exactly its live set, so pinning the tenant pins that set. Memory-LRU
+  // may still drop their memory copies (the persistent bytes keep serving
+  // peek()/restore). Pass nullptr to clear.
+  void set_pinned_tenants(
+      std::shared_ptr<const std::unordered_set<std::uint64_t>> pinned);
 
   // Cost of writing `bytes` through the layer without performing the
   // write. Used to price passthrough combiner re-executions whose output
@@ -211,10 +219,32 @@ class MemoStore {
 
   void erase(NodeId id);
 
-  // Garbage collection: frees every entry not in `live`. Returns the
-  // number of entries collected. This is the master-side GC of §6 driven
-  // by the trees' live-node sets.
-  std::size_t retain_only(const std::unordered_set<NodeId>& live);
+  // Release-based garbage collection (the master-side GC of §6): frees the
+  // entries of `ids`, the nodes the trees unlinked this run, and returns
+  // how many were present. Absent ids (evicted, or never memoized) are
+  // no-ops. GC does not tombstone: a tombstone per released node would
+  // flood the durable log every slide. Instead the index, which stays the
+  // live set, drives log compaction.
+  std::size_t release(std::span<const NodeId> ids);
+
+  // Full sweep: frees every candidate entry not in `live` and returns how
+  // many it collected. Candidates are `tenant`'s entries (0 = untenanted),
+  // so a sweeping session never collects a neighbour's, plus every entry
+  // restore_from_durable() installed that no sweep has claimed yet: those
+  // are untenanted (the log records no owner), and the ones in `live` are
+  // claimed by `tenant`. Sessions run it once, in the first run over a
+  // recovered store (restore or initial_run), because recovery resurrects
+  // entries that no release list names; per-run GC is release(). On a store
+  // several sessions share, that first sweep therefore also collects the
+  // recovered entries of sessions not restored yet.
+  std::size_t retain_only(const std::unordered_set<NodeId>& live,
+                          std::uint64_t tenant);
+
+  // Whether restore_from_durable() installed entries no sweep has claimed
+  // or collected yet (the sessions' cue to run retain_only once).
+  bool has_unclaimed_recovered() const {
+    return unclaimed_recovered_.load(std::memory_order_relaxed) != 0;
+  }
 
   // Drops in-memory copies homed on failed machines (called after failure
   // injection); persistent replicas on live machines keep serving.
@@ -328,6 +358,9 @@ class MemoStore {
     std::uint64_t write_seq = 0;  // insertion order (budget GC)
     std::uint64_t touch_seq = 0;  // global recency stamp (memory LRU)
     bool durable = false;  // mirrored into the attached DurableTier's logs
+    // Installed by restore_from_durable() and not yet claimed by a sweep's
+    // live set or a tenanted re-put (counted in unclaimed_recovered_).
+    bool recovered = false;
     std::list<NodeId>::iterator lru_position;  // valid iff memory != null
   };
 
@@ -342,8 +375,8 @@ class MemoStore {
     // kEvictedSetCap the set is cleared (subsequent misses on the
     // forgotten ids degrade to plain misses — an undercount, never an
     // overcount). A re-put removes the id (the entry is whole again).
-    // GC drops (retain_only) deliberately do NOT register here: work the
-    // window no longer needs is not an eviction casualty.
+    // GC drops (release/retain_only) deliberately do NOT register here:
+    // work the window no longer needs is not an eviction casualty.
     std::unordered_set<NodeId> evicted;
   };
   static constexpr std::size_t kEvictedSetCap = 1 << 16;
@@ -359,6 +392,14 @@ class MemoStore {
   // All three require the entry's shard mutex held.
   void install_memory(Shard& shard, NodeId id, Entry& entry,
                       std::shared_ptr<const KVTable> table);
+  // Removes the entry at `it` from the index and every byte/entry counter;
+  // returns the next iterator. Does not tombstone.
+  std::unordered_map<NodeId, Entry>::iterator drop_entry(
+      Shard& shard, std::unordered_map<NodeId, Entry>::iterator it);
+  // Shared tail of release()/retain_only(): counts the collected entries,
+  // compacts the durable tier down to the index when due, refreshes the
+  // gauges.
+  void finish_gc(std::size_t collected);
   void drop_memory(Shard& shard, Entry& entry);
   void touch(Shard& shard, Entry& entry);
 
@@ -387,7 +428,8 @@ class MemoStore {
   // Called with the erased entry's tenant/bytes (no-op for tenant 0).
   void account_erase(std::uint64_t tenant, std::uint64_t bytes);
   bool tenant_over_byte_quota(std::uint64_t tenant) const;
-  std::shared_ptr<const std::unordered_set<NodeId>> pinned_snapshot() const;
+  std::shared_ptr<const std::unordered_set<std::uint64_t>> pinned_snapshot()
+      const;
 
   // Pushes the authoritative entry/byte counts into the stats gauges
   // ("memo.entries"/"memo.bytes"/"memo.memory_bytes"). Called after every
@@ -401,6 +443,7 @@ class MemoStore {
   std::atomic<std::uint64_t> total_bytes_{0};
   std::atomic<std::uint64_t> memory_bytes_{0};
   std::atomic<std::size_t> entry_count_{0};
+  std::atomic<std::size_t> unclaimed_recovered_{0};
   std::atomic<std::uint64_t> memory_capacity_bytes_{0};  // 0 = unbounded
   std::atomic<std::size_t> entry_budget_{0};             // 0 = unbounded
   std::atomic<std::uint64_t> next_write_seq_{0};
@@ -416,7 +459,7 @@ class MemoStore {
   mutable std::unordered_map<std::uint64_t, std::unique_ptr<TenantCell>>
       tenants_;
   mutable std::mutex pinned_mutex_;
-  std::shared_ptr<const std::unordered_set<NodeId>> pinned_;
+  std::shared_ptr<const std::unordered_set<std::uint64_t>> pinned_;
 
   // --- degraded durable mode --------------------------------------------
   // All durable-tier I/O (put/tombstone/recover/compact/flush) serializes

@@ -107,10 +107,9 @@ TEST(KVTableAlgebra, MergeIsAssociativeOnRandomTables) {
 }
 
 // Two different jobs sharing one MemoStore must not interfere: node ids
-// are namespaced by job hash, so identical inputs memoize separately and
-// one session's GC keeps the other's nodes alive only through the shared
-// live-set (exercised here by disabling per-session GC and collecting
-// globally, as QueryPipeline does).
+// are namespaced by job hash, so identical inputs memoize separately, and
+// each session's release-based GC frees only the ids its own trees
+// unlinked, so the store holds exactly the union of both live sets.
 TEST(MemoIsolation, TwoJobsShareOneStoreSafely) {
   CostModel cost;
   Cluster cluster(ClusterConfig{.num_machines = 6, .slots_per_machine = 2});
@@ -123,7 +122,6 @@ TEST(MemoIsolation, TwoJobsShareOneStoreSafely) {
   SliderConfig config;
   config.mode = WindowMode::kFixedWidth;
   config.bucket_width = 2;
-  config.run_gc = false;  // global GC below, QueryPipeline-style
   SliderSession session_a(engine, memo, hct.job, config);
   SliderSession session_b(engine, memo, matrix.job, config);
 
@@ -136,13 +134,13 @@ TEST(MemoIsolation, TwoJobsShareOneStoreSafely) {
   session_a.initial_run(splits);
   session_b.initial_run(splits);
 
-  auto global_gc = [&] {
+  auto union_of_live_sets = [&] {
     std::unordered_set<NodeId> live;
     session_a.collect_live_ids(live);
     session_b.collect_live_ids(live);
-    memo.retain_only(live);
+    return live.size();
   };
-  global_gc();
+  ASSERT_EQ(memo.size(), union_of_live_sets());
   const std::size_t live_after_both = memo.size();
 
   for (int slide = 0; slide < 3; ++slide) {
@@ -151,7 +149,7 @@ TEST(MemoIsolation, TwoJobsShareOneStoreSafely) {
     auto added = make_splits(std::move(added_records), 30, 12 + 2 * slide);
     session_a.slide(2, added);
     session_b.slide(2, added);
-    global_gc();
+    ASSERT_EQ(memo.size(), union_of_live_sets()) << "slide " << slide;
     window.erase(window.begin(), window.begin() + 2);
     for (const auto& s : added) window.push_back(s);
   }

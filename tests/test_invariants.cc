@@ -138,7 +138,7 @@ TEST_P(TreeInvariants, HoldAcrossRandomHistoryWithFailures) {
     // the next loop iteration's I1).
     std::unordered_set<NodeId> live;
     tree->collect_live_ids(live);
-    memo.retain_only(live);
+    memo.retain_only(live, /*tenant=*/0);
     ASSERT_LE(memo.size(), live.size());
   }
 }

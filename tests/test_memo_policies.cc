@@ -93,7 +93,7 @@ TEST(MemoLru, EraseAndRetainReleaseMemoryAccounting) {
   EXPECT_GT(before, 0u);
   h.memo.erase(1);
   EXPECT_LT(h.memo.memory_bytes(), before);
-  h.memo.retain_only({});
+  h.memo.retain_only({}, /*tenant=*/0);
   EXPECT_EQ(h.memo.memory_bytes(), 0u);
   EXPECT_EQ(h.memo.size(), 0u);
 }

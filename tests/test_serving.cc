@@ -33,6 +33,7 @@
 
 #include "apps/microbench.h"
 #include "common/hash.h"
+#include "common/thread_pool.h"
 #include "data/serde.h"
 #include "durability/durable_tier.h"
 #include "serving/session_manager.h"
@@ -355,8 +356,8 @@ TEST(SessionManagerIdleHydrate, ColdSessionRehydratesTransparently) {
   SplitId next_id = kWindowSplits;
 
   // Two idle drains push the napper past the threshold; "steady" keeps
-  // sliding, so the shared store stays hot (and the fleet GC keeps
-  // running) while the napper is cold.
+  // sliding, so the shared store stays hot (and steady's GC keeps
+  // releasing) while the napper is cold.
   for (int idle = 0; idle < 2; ++idle) {
     ASSERT_EQ(manager.submit("steady", kSlide,
                              batch_for(MicroApp::kHct, kSlide, next_id)),
@@ -390,6 +391,248 @@ TEST(SessionManagerIdleHydrate, ColdSessionRehydratesTransparently) {
   EXPECT_EQ(manager.last_outputs("steady"), control[kRuns - 1]);
 }
 
+// A cold tenant's checkpoint references its memo entries by id, so a
+// whole-entry eviction policy must never drop them: the manager pins the
+// cold tenant. Here a tight entry budget squeezes the store while the
+// napper is cold; every eviction has to land on the active tenant.
+TEST(SessionManagerIdleHydrate, EntryBudgetNeverStrandsAColdCheckpoint) {
+  constexpr std::size_t kRuns = 3;
+  const auto control = run_control(MicroApp::kHct, kRuns);
+
+  Harness h;
+  const fs::path tier_dir =
+      fs::temp_directory_path() /
+      ("slider_test_serving_pin_tier_" + std::to_string(::getpid()));
+  fs::remove_all(tier_dir);
+  fs::create_directories(tier_dir);
+  auto tier = std::make_unique<durability::DurableTier>(tier_dir.string());
+  h.memo.attach_durable_tier(tier.get());
+
+  SessionManagerOptions options;
+  options.idle_checkpoint_rounds = 1;
+  SessionManager manager(h.engine, h.memo, options);
+  ASSERT_TRUE(manager.add_tenant(make_spec("napper", MicroApp::kHct),
+                                 batch_for(MicroApp::kHct, kWindowSplits, 0)));
+  ASSERT_TRUE(manager.add_tenant(make_spec("steady", MicroApp::kHct),
+                                 batch_for(MicroApp::kHct, kWindowSplits, 0)));
+  EXPECT_EQ(manager.run_pending(), 2u);
+  SplitId next_id = kWindowSplits;
+  const auto slide_steady = [&] {
+    ASSERT_EQ(manager.submit("steady", kSlide,
+                             batch_for(MicroApp::kHct, kSlide, next_id)),
+              AdmitResult::kAccepted);
+    next_id += kSlide;
+    manager.run_pending();
+  };
+  slide_steady();
+  ASSERT_TRUE(manager.is_cold("napper"));
+
+  // The napper's entries are the oldest in the store: an unpinned budget
+  // policy would evict them first.
+  const std::uint64_t napper_entries =
+      manager.status("napper").usage.entries;
+  ASSERT_GT(napper_entries, 0u);
+  h.memo.set_entry_budget(h.memo.size() - 4);
+  slide_steady();
+  slide_steady();
+  EXPECT_GT(h.memo.stats().budget_evictions, 0u);
+  EXPECT_EQ(manager.status("napper").usage.entries, napper_entries);
+
+  SplitId napper_next = kWindowSplits;
+  for (std::size_t run = 1; run < kRuns; ++run) {
+    ASSERT_EQ(manager.submit("napper", kSlide,
+                             batch_for(MicroApp::kHct, kSlide, napper_next)),
+              AdmitResult::kAccepted);
+    napper_next += kSlide;
+    manager.run_pending();
+    EXPECT_EQ(manager.last_outputs("napper"), control[run]);
+  }
+  EXPECT_EQ(manager.status("napper").counters.hydrations, 1u);
+  EXPECT_EQ(manager.status("napper").counters.hydrate_failures, 0u);
+  h.memo.flush_durable();
+  tier->close();
+  fs::remove_all(tier_dir);
+}
+
+// --- release-based GC under concurrency ------------------------------------
+
+// With a 2-thread pool the shards drain in parallel, so every session
+// releases into the one shared store at the same time. Each tenant must
+// still hold exactly its own live set — as many entries as an isolated
+// control that runs the same job on a private store — and stay
+// byte-identical to that control.
+TEST(SessionManagerRelease, ConcurrentDrainsKeepEveryTenantExact) {
+  struct ThreadsGuard {
+    ThreadsGuard() { ThreadPool::set_global_threads(2); }
+    ~ThreadsGuard() { ThreadPool::set_global_threads(0); }
+  } threads;
+  constexpr std::size_t kTenants = 6;
+  constexpr std::size_t kRuns = 5;
+  constexpr MicroApp kApps[] = {MicroApp::kHct, MicroApp::kSubStr};
+
+  // Per app: serialized outputs and store size after every run.
+  struct Control {
+    std::vector<std::vector<std::string>> outputs;
+    std::vector<std::size_t> entries;
+  };
+  const auto run_counted_control = [](MicroApp app) {
+    Harness h;
+    SliderSession session(h.engine, h.memo, apps::make_microbenchmark(app).job,
+                          base_config());
+    Control control;
+    session.initial_run(batch_for(app, kWindowSplits, 0));
+    SplitId next_id = kWindowSplits;
+    for (std::size_t run = 0; run < kRuns; ++run) {
+      if (run > 0) {
+        session.slide(kSlide, batch_for(app, kSlide, next_id));
+        next_id += kSlide;
+      }
+      control.outputs.push_back(output_bytes(session));
+      control.entries.push_back(h.memo.size());
+    }
+    return control;
+  };
+  const Control controls[] = {run_counted_control(kApps[0]),
+                              run_counted_control(kApps[1])};
+
+  Harness h;
+  SessionManagerOptions options;
+  options.shards = 4;
+  SessionManager manager(h.engine, h.memo, options);
+  const auto name_of = [](std::size_t t) {
+    return "release-" + std::to_string(t);
+  };
+  for (std::size_t t = 0; t < kTenants; ++t) {
+    const MicroApp app = kApps[t % 2];
+    ASSERT_TRUE(manager.add_tenant(make_spec(name_of(t), app),
+                                   batch_for(app, kWindowSplits, 0)));
+  }
+  SplitId next_id = kWindowSplits;
+  for (std::size_t run = 0; run < kRuns; ++run) {
+    if (run > 0) {
+      for (std::size_t t = 0; t < kTenants; ++t) {
+        manager.submit(name_of(t), kSlide,
+                       batch_for(kApps[t % 2], kSlide, next_id));
+      }
+      next_id += kSlide;
+    }
+    ASSERT_EQ(manager.run_pending(), kTenants);
+    std::size_t fleet_entries = 0;
+    for (std::size_t t = 0; t < kTenants; ++t) {
+      const Control& control = controls[t % 2];
+      const TenantStatus status = manager.status(name_of(t));
+      EXPECT_EQ(status.usage.entries, control.entries[run])
+          << name_of(t) << " run " << run;
+      EXPECT_EQ(manager.last_outputs(name_of(t)), control.outputs[run])
+          << name_of(t) << " run " << run;
+      fleet_entries += status.usage.entries;
+    }
+    EXPECT_EQ(h.memo.size(), fleet_entries) << "untenanted garbage, run " << run;
+  }
+}
+
+// The fleet-open shape in miniature: variable-width HCT and subStr tenants
+// with skewed traffic on one durable store that compacts often, idle
+// tenants checkpointed out and re-hydrated, a 2-thread pool. After every
+// drain the store holds exactly each tenant's live set, hot or cold, taken
+// from an isolated control that runs the same tenant's slides on a private
+// store, and nothing untenanted: no drain, hydration or compaction leaks.
+TEST(SessionManagerRelease, FleetStoreIsExactlyEveryTenantsLiveSet) {
+  struct ThreadsGuard {
+    ThreadsGuard() { ThreadPool::set_global_threads(2); }
+    ~ThreadsGuard() { ThreadPool::set_global_threads(0); }
+  } threads;
+  constexpr std::size_t kTenants = 8;
+  constexpr std::size_t kDrains = 24;
+  constexpr std::size_t kWindow = 4;
+
+  Harness h;
+  const fs::path tier_dir =
+      fs::temp_directory_path() /
+      ("slider_test_serving_fleet_tier_" + std::to_string(::getpid()));
+  fs::remove_all(tier_dir);
+  fs::create_directories(tier_dir);
+  durability::DurableTierOptions tier_options;
+  tier_options.compact_after_bytes = 16 << 10;
+  auto tier = std::make_unique<durability::DurableTier>(tier_dir.string(),
+                                                        tier_options);
+  h.memo.attach_durable_tier(tier.get());
+  SessionManagerOptions options;
+  options.shards = 4;
+  options.idle_checkpoint_rounds = 3;
+  options.scrub_records_per_cycle = 16;
+  SessionManager manager(h.engine, h.memo, options);
+
+  struct Control {
+    Harness h;
+    std::unique_ptr<SliderSession> session;
+  };
+  std::vector<std::unique_ptr<Control>> controls;
+  const auto name_of = [](std::size_t t) {
+    return "fleet-" + std::to_string(t);
+  };
+  const auto app_of = [](std::size_t t) {
+    return t % 2 == 0 ? MicroApp::kHct : MicroApp::kSubStr;
+  };
+  for (std::size_t t = 0; t < kTenants; ++t) {
+    const TenantSpec spec = make_spec(name_of(t), app_of(t));
+    auto control = std::make_unique<Control>();
+    SliderConfig config = spec.config;
+    config.tenant = spec.name;  // same salt, so the same node ids
+    control->session = std::make_unique<SliderSession>(
+        control->h.engine, control->h.memo, spec.job, config);
+    control->session->initial_run(batch_for(app_of(t), kWindow, 0));
+    controls.push_back(std::move(control));
+    ASSERT_TRUE(manager.add_tenant(spec, batch_for(app_of(t), kWindow, 0)));
+  }
+  ASSERT_EQ(manager.run_pending(), kTenants);
+
+  const auto expect_exact = [&](std::size_t drain) {
+    std::size_t fleet_entries = 0;
+    for (std::size_t t = 0; t < kTenants; ++t) {
+      std::unordered_set<NodeId> live;
+      controls[t]->session->collect_live_ids(live);
+      EXPECT_EQ(h.memo.tenant_ids(hash_string(name_of(t))), live)
+          << name_of(t) << (manager.is_cold(name_of(t)) ? " (cold)" : "")
+          << ", drain " << drain;
+      fleet_entries += live.size();
+    }
+    EXPECT_TRUE(h.memo.tenant_ids(0).empty()) << "drain " << drain;
+    EXPECT_EQ(h.memo.size(), fleet_entries) << "drain " << drain;
+  };
+  expect_exact(0);
+
+  // Tenant t slides on every (t+1)-th drain: the tail idles past the
+  // threshold, goes cold, and hydrates on its next slide.
+  std::vector<SplitId> next_id(kTenants, kWindow);
+  for (std::size_t drain = 1; drain <= kDrains; ++drain) {
+    for (std::size_t t = 0; t < kTenants; ++t) {
+      if (drain % (t + 1) != 0) continue;
+      ASSERT_EQ(manager.submit(name_of(t), 1,
+                               batch_for(app_of(t), 1, next_id[t])),
+                AdmitResult::kAccepted);
+      controls[t]->session->slide(1, batch_for(app_of(t), 1, next_id[t]));
+      ++next_id[t];
+    }
+    manager.run_pending();
+    for (std::size_t t = 0; t < kTenants; ++t) {
+      EXPECT_EQ(manager.last_outputs(name_of(t)),
+                output_bytes(*controls[t]->session))
+          << name_of(t) << ", drain " << drain;
+    }
+    expect_exact(drain);
+  }
+  std::uint64_t hydrations = 0;
+  for (std::size_t t = 0; t < kTenants; ++t) {
+    hydrations += manager.status(name_of(t)).counters.hydrations;
+  }
+  EXPECT_GT(hydrations, 0u);
+  EXPECT_GT(tier->mutation_epoch(), 0u) << "no compaction ran";
+  h.memo.flush_durable();
+  tier->close();
+  fs::remove_all(tier_dir);
+}
+
 // --- checkpoint identity ----------------------------------------------------
 
 // The checkpoint manifest's identity word is job_hash ^ tenant_salt: one
@@ -405,7 +648,6 @@ TEST(SessionManagerCheckpointIdentity, CrossTenantRestoreIsRejected) {
 
   SliderConfig config_a = base_config();
   config_a.tenant = "tenant-a";
-  config_a.run_gc = false;  // shared store: per-session GC would cross-collect
   SliderSession a(h.engine, h.memo, bench.job, config_a);
   a.initial_run(batch_for(MicroApp::kHct, kWindowSplits, 0));
   ASSERT_TRUE(a.checkpoint(dir.string()));
@@ -458,7 +700,6 @@ TEST(SessionManagerConcurrent, CheckpointRestoreSharedStoreStaysByteIdentical) {
     names.push_back("ckpt-" + std::to_string(i));
     SliderConfig config = base_config();
     config.tenant = names.back();
-    config.run_gc = false;  // shared store: per-session GC would cross-collect
     sessions.push_back(std::make_unique<SliderSession>(
         h.engine, h.memo, apps::make_microbenchmark(app).job, config));
     sessions.back()->initial_run(batch_for(app, kWindowSplits, 0));
@@ -475,7 +716,6 @@ TEST(SessionManagerConcurrent, CheckpointRestoreSharedStoreStaysByteIdentical) {
   // generate quota evictions concurrently with the restores below.
   SliderConfig churn_config = base_config();
   churn_config.tenant = "churn";
-  churn_config.run_gc = false;
   h.memo.set_tenant_quota(hash_string("churn"), TenantQuota{.max_entries = 6});
   SliderSession churn(h.engine, h.memo,
                       apps::make_microbenchmark(MicroApp::kHct).job,
@@ -518,7 +758,6 @@ TEST(SessionManagerConcurrent, CheckpointRestoreSharedStoreStaysByteIdentical) {
         const MicroApp app = kApps[i % 2];
         SliderConfig config = base_config();
         config.tenant = names[i];
-        config.run_gc = false;
         auto session = std::make_unique<SliderSession>(
             h.engine, h.memo, apps::make_microbenchmark(app).job, config);
         if (!session->restore(dirs[i])) {

@@ -168,7 +168,7 @@ TEST(MemoStore, RetainOnlyCollectsGarbage) {
   const std::uint64_t bytes_before = h.memo.total_bytes();
 
   std::unordered_set<NodeId> live = {1, 3, 5};
-  EXPECT_EQ(h.memo.retain_only(live), 7u);
+  EXPECT_EQ(h.memo.retain_only(live, /*tenant=*/0), 7u);
   EXPECT_EQ(h.memo.size(), 3u);
   EXPECT_LT(h.memo.total_bytes(), bytes_before);
   EXPECT_TRUE(h.memo.contains(3));

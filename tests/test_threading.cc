@@ -479,7 +479,7 @@ TEST(MemoStoreGauges, StayFreshAcrossAllMutations) {
   expect_gauges_match("after budget eviction");
   EXPECT_EQ(h.memo.size(), 2u);
 
-  h.memo.retain_only({});
+  h.memo.retain_only({}, /*tenant=*/0);
   expect_gauges_match("after retain_only");
   EXPECT_EQ(h.memo.size(), 0u);
   EXPECT_EQ(stats.gauge("memo.entries").value(), 0.0);

@@ -27,6 +27,7 @@
 #include "common/thread_pool.h"
 #include "contraction/describe.h"
 #include "durability/durable_tier.h"
+#include "durability/scrubber.h"
 #include "observability/introspection_server.h"
 #include "observability/work_ledger.h"
 #include "slider/session.h"
@@ -564,6 +565,35 @@ TEST(IntrospectionEndpoint, DeclaresEveryMetricFamilyOnce) {
     EXPECT_EQ(declared.count("slider_memo_evictions_budget_total"), 1u);
     for (const auto& [family, count] : declared) {
       EXPECT_EQ(count, 1) << family << " declared " << count << " times";
+    }
+  }
+  fs::remove_all(dir);
+}
+
+// An armed scrubber registers its four scrub.* families when it is armed,
+// not on its first verified record: before anything is verified /metrics
+// already carries them at 0, so an alert on detected - repairs -
+// quarantines reads 0 rather than an absent series. (Each ctest case runs
+// in its own process, so nothing else registered them first.)
+TEST(IntrospectionEndpoint, ArmedScrubberExportsZeroScrubFamilies) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("slider_scrub_armed_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  {
+    durability::DurableTier tier(dir.string());
+    Harness h;
+    h.memo.attach_durable_tier(&tier);
+    // Nothing was appended: the armed slice has nothing to verify.
+    EXPECT_EQ(h.memo.scrub_durable(64).records_verified, 0u);
+    const std::string metrics = obs::IntrospectionServer().handle_raw_request(
+        "GET /metrics HTTP/1.0\r\n\r\n");
+    for (const char* family :
+         {"slider_scrub_records_verified_total",
+          "slider_scrub_corruptions_detected_total",
+          "slider_scrub_repairs_total", "slider_scrub_quarantines_total"}) {
+      EXPECT_NE(metrics.find(std::string("\n") + family + " 0\n"),
+                std::string::npos)
+          << family << " is not exported at 0";
     }
   }
   fs::remove_all(dir);

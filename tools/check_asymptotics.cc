@@ -16,18 +16,24 @@
 //   3. It compares c against the committed baseline
 //      (bench/baselines/asymptotics.json) and exits nonzero if any variant
 //      regressed by more than the baseline's tolerance (default 1.25×).
+//   4. The same sweep also counts the memo entries the release-based GC
+//      freed on the measured slide (the memo.gc_released registry
+//      counter) and fits them the same way, gated as "<variant>_gc". A
+//      variant that unlinks O(w) nodes per slide fails it. Per-run GC
+//      touches only the released entries, so this count is its work.
 //
 // Modes:
 //   (default)          run the sweep, write the fit report, gate vs baseline
 //   --write-baseline   run the sweep and (re)write the baseline file
 //   --self-test        negative test: run the *strawman* tree — whose
-//                      per-slide work is window-proportional by design —
-//                      through the same fit + gate, and exit 0 only if the
-//                      gate correctly FAILS it. Proves the gate has teeth.
+//                      per-slide work and GC releases are window-
+//                      proportional by design — through the same fits +
+//                      gates, and exit 0 only if every gate correctly
+//                      FAILS it. Proves the gates have teeth.
 //
 // Flags: --baseline=PATH  --report=PATH  --quiet
 //
-// The gate deliberately measures invocation *counts*, not wall-clock or
+// The gate deliberately measures invocation and entry *counts*, not wall-clock or
 // simulated time: counts are deterministic and sanitizer-stable, so the
 // gate behaves identically under asan/tsan and across machines.
 
@@ -43,6 +49,7 @@
 
 #include "bench/bench_util.h"
 #include "observability/json_writer.h"
+#include "observability/stats.h"
 #include "observability/work_ledger.h"
 
 namespace slider {
@@ -51,16 +58,25 @@ namespace {
 struct SweepPoint {
   std::size_t window = 0;
   std::size_t delta = 0;
-  std::uint64_t delta_invocations = 0;  // window_add + window_remove
-  double model_x = 0;                   // Δ · log2(w)
+  std::uint64_t y = 0;  // the fitted count (see VariantFit::metric)
+  double model_x = 0;   // Δ · log2(w), or Δ for the linear model
 };
 
 struct VariantFit {
   std::string name;
+  // "delta_invocations" (window_add + window_remove combiner invocations)
+  // or "released" (memo entries GC freed).
+  std::string metric;
   std::vector<SweepPoint> points;
   double fit_constant = 0;   // least squares through the origin
   double max_point_ratio = 0;  // max y/x over the sweep
   bool linear_model = false;   // fitted against c·Δ, not c·Δ·log2(w)
+};
+
+// Both series of one sweep over the same slides.
+struct SweepFits {
+  VariantFit work;
+  VariantFit gc;
 };
 
 struct VariantSpec {
@@ -84,14 +100,36 @@ std::uint64_t delta_attributed_invocations() {
          snap.total_for(obs::WorkCause::kWindowRemove).combiner_invocations;
 }
 
-VariantFit run_sweep(const VariantSpec& spec, bool quiet) {
+// Memo entries released by GC so far in this process.
+std::uint64_t gc_released() {
+  return obs::StatsRegistry::global().counter("memo.gc_released").value();
+}
+
+// Least squares through the origin: c = Σ(x·y) / Σ(x²).
+void fit_through_origin(VariantFit& fit) {
+  double xy = 0;
+  double xx = 0;
+  for (const SweepPoint& p : fit.points) {
+    const double y = static_cast<double>(p.y);
+    xy += p.model_x * y;
+    xx += p.model_x * p.model_x;
+    fit.max_point_ratio = std::max(fit.max_point_ratio, y / p.model_x);
+  }
+  fit.fit_constant = xx > 0 ? xy / xx : 0;
+}
+
+SweepFits run_sweep(const VariantSpec& spec, bool quiet) {
   constexpr std::size_t kWindows[] = {48, 96, 192};
   constexpr std::size_t kDeltas[] = {2, 4, 8};
   constexpr int kWarmSlides = 2;
 
-  VariantFit fit;
-  fit.name = spec.name;
-  fit.linear_model = spec.flat || spec.linear_model;
+  SweepFits fits;
+  fits.work.name = spec.name;
+  fits.work.metric = "delta_invocations";
+  fits.work.linear_model = spec.flat || spec.linear_model;
+  fits.gc = fits.work;
+  fits.gc.name = spec.name + "_gc";
+  fits.gc.metric = "released";
   const apps::MicroBenchmark app =
       apps::make_microbenchmark(apps::MicroApp::kSubStr);
 
@@ -113,40 +151,34 @@ VariantFit run_sweep(const VariantSpec& spec, bool quiet) {
       driver.initial_run();
       for (int i = 0; i < kWarmSlides; ++i) driver.slide();
 
-      const std::uint64_t before = delta_attributed_invocations();
+      const std::uint64_t invoked_before = delta_attributed_invocations();
+      const std::uint64_t released_before = gc_released();
       driver.slide();
-      const std::uint64_t after = delta_attributed_invocations();
-
       SweepPoint point;
       point.window = w;
       point.delta = delta;
-      point.delta_invocations = after - before;
       point.model_x =
-          (spec.flat || spec.linear_model)
+          fits.work.linear_model
               ? static_cast<double>(delta)
               : static_cast<double>(delta) * std::log2(static_cast<double>(w));
-      fit.points.push_back(point);
+      point.y = delta_attributed_invocations() - invoked_before;
+      fits.work.points.push_back(point);
+      point.y = gc_released() - released_before;
+      fits.gc.points.push_back(point);
       if (!quiet) {
-        std::printf("  %-10s w=%4zu delta=%2zu  delta_inv=%8llu  x=%7.2f  y/x=%7.2f\n",
+        const SweepPoint& work = fits.work.points.back();
+        std::printf("  %-10s w=%4zu delta=%2zu  delta_inv=%8llu  released=%6llu"
+                    "  x=%7.2f  y/x=%7.2f\n",
                     spec.name.c_str(), w, delta,
-                    static_cast<unsigned long long>(point.delta_invocations),
-                    point.model_x,
-                    static_cast<double>(point.delta_invocations) / point.model_x);
+                    static_cast<unsigned long long>(work.y),
+                    static_cast<unsigned long long>(point.y), point.model_x,
+                    static_cast<double>(work.y) / point.model_x);
       }
     }
   }
-
-  // Least squares through the origin: c = Σ(x·y) / Σ(x²).
-  double xy = 0;
-  double xx = 0;
-  for (const SweepPoint& p : fit.points) {
-    const double y = static_cast<double>(p.delta_invocations);
-    xy += p.model_x * y;
-    xx += p.model_x * p.model_x;
-    fit.max_point_ratio = std::max(fit.max_point_ratio, y / p.model_x);
-  }
-  fit.fit_constant = xx > 0 ? xy / xx : 0;
-  return fit;
+  fit_through_origin(fits.work);
+  fit_through_origin(fits.gc);
+  return fits;
 }
 
 // --- minimal JSON number extraction for the (self-authored) baseline ------
@@ -178,7 +210,34 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
-std::string fits_to_json(const std::vector<VariantFit>& fits,
+void fits_to_json(obs::JsonWriter& json, const std::vector<VariantFit>& fits) {
+  json.begin_object();
+  for (const VariantFit& fit : fits) {
+    json.key(fit.name).begin_object();
+    json.key("model").value(fit.metric + (fit.linear_model
+                                              ? " = c * delta"
+                                              : " = c * delta * log2(window)"));
+    json.key("fit_constant").value(fit.fit_constant);
+    json.key("max_point_ratio").value(fit.max_point_ratio);
+    json.key("points").begin_array();
+    for (const SweepPoint& p : fit.points) {
+      json.begin_object();
+      json.key("window").value(static_cast<std::uint64_t>(p.window));
+      json.key("delta").value(static_cast<std::uint64_t>(p.delta));
+      json.key(fit.metric).value(p.y);
+      json.key("model_x").value(p.model_x);
+      json.end_object();
+    }
+    json.end_array();
+    json.end_object();
+  }
+  json.end_object();
+}
+
+// "variants" holds the invocation fits; "gc_variants" (written after it,
+// so a key scan for a tree name finds its invocation fit first) holds the
+// released-entry fits under "<variant>_gc".
+std::string fits_to_json(const std::vector<SweepFits>& fits,
                          double tolerance) {
   obs::JsonWriter json;
   json.begin_object();
@@ -188,27 +247,16 @@ std::string fits_to_json(const std::vector<VariantFit>& fits,
       "flat tier (see variants.*.model)"));
   json.key("fit").value(std::string("least_squares_through_origin"));
   json.key("tolerance").value(tolerance);
-  json.key("variants").begin_object();
-  for (const VariantFit& fit : fits) {
-    json.key(fit.name).begin_object();
-    json.key("model").value(std::string(
-        fit.linear_model ? "delta_invocations = c * delta"
-                         : "delta_invocations = c * delta * log2(window)"));
-    json.key("fit_constant").value(fit.fit_constant);
-    json.key("max_point_ratio").value(fit.max_point_ratio);
-    json.key("points").begin_array();
-    for (const SweepPoint& p : fit.points) {
-      json.begin_object();
-      json.key("window").value(static_cast<std::uint64_t>(p.window));
-      json.key("delta").value(static_cast<std::uint64_t>(p.delta));
-      json.key("delta_invocations").value(p.delta_invocations);
-      json.key("model_x").value(p.model_x);
-      json.end_object();
-    }
-    json.end_array();
-    json.end_object();
+  std::vector<VariantFit> work;
+  std::vector<VariantFit> gc;
+  for (const SweepFits& f : fits) {
+    work.push_back(f.work);
+    gc.push_back(f.gc);
   }
-  json.end_object();
+  json.key("variants");
+  fits_to_json(json, work);
+  json.key("gc_variants");
+  fits_to_json(json, gc);
   json.end_object();
   return json.take();
 }
@@ -279,8 +327,9 @@ int run(int argc, char** argv) {
     // against c·Δ·log2(w) and gating against the *folding* baseline must
     // FAIL — if it passes, the gate has no teeth.
     std::printf("self-test: strawman (window-proportional) must fail the gate\n");
-    const VariantFit fit = run_sweep(
+    const SweepFits strawman = run_sweep(
         {"strawman", WindowMode::kVariableWidth, TreeKind::kStrawman}, quiet);
+    const VariantFit& fit = strawman.work;
     const std::string baseline_doc = read_file(baseline_path);
     if (baseline_doc.empty()) {
       std::fprintf(stderr, "cannot read baseline %s\n", baseline_path.c_str());
@@ -303,10 +352,11 @@ int run(int argc, char** argv) {
     std::printf(
         "self-test: strawman (window-proportional) must fail the flat "
         "linear gate\n");
-    VariantFit linear_probe = run_sweep({"strawman", WindowMode::kVariableWidth,
-                                         TreeKind::kStrawman, /*flat=*/false,
-                                         /*linear_model=*/true},
-                                        quiet);
+    VariantFit linear_probe =
+        run_sweep({"strawman", WindowMode::kVariableWidth, TreeKind::kStrawman,
+                   /*flat=*/false, /*linear_model=*/true},
+                  quiet)
+            .work;
     linear_probe.name = "strawman_as_flat";
     const bool passed_linear_gate =
         gate_variant(linear_probe, baseline_doc, "flat", tolerance);
@@ -316,8 +366,21 @@ int run(int argc, char** argv) {
                    "flat tier's linear gate\n");
       return 1;
     }
+    // Third negative, for the GC series: the strawman prunes every node a
+    // rebuild no longer reaches, releasing O(w) entries per slide; that
+    // must fail the folding tree's released-entries baseline.
     std::printf(
-        "self-test OK: both gates correctly rejected out-of-model work\n");
+        "self-test: strawman GC (window-proportional releases) must fail "
+        "the gc gate\n");
+    if (gate_variant(strawman.gc, baseline_doc, "folding_gc", tolerance)) {
+      std::fprintf(stderr,
+                   "SELF-TEST FAILED: window-proportional GC passed the "
+                   "released-entries gate\n");
+      return 1;
+    }
+    std::printf(
+        "self-test OK: all three gates correctly rejected out-of-model "
+        "work\n");
     return 0;
   }
 
@@ -330,7 +393,7 @@ int run(int argc, char** argv) {
       // model — per-slide work must be independent of the window size.
       {"flat", WindowMode::kVariableWidth, TreeKind::kFolding, /*flat=*/true},
   };
-  std::vector<VariantFit> fits;
+  std::vector<SweepFits> fits;
   for (const VariantSpec& spec : specs) {
     if (!quiet) std::printf("sweep: %s\n", spec.name.c_str());
     fits.push_back(run_sweep(spec, quiet));
@@ -354,12 +417,14 @@ int run(int argc, char** argv) {
     }
     std::printf("fit report: %s\n", report_path.c_str());
     bool all_pass = true;
-    for (const VariantFit& fit : fits) {
-      all_pass &= gate_variant(fit, baseline_doc, fit.name, tolerance);
+    for (const SweepFits& fit : fits) {
+      all_pass &= gate_variant(fit.work, baseline_doc, fit.work.name, tolerance);
+      all_pass &= gate_variant(fit.gc, baseline_doc, fit.gc.name, tolerance);
     }
     if (!all_pass) {
       std::fprintf(stderr,
-                   "\nASYMPTOTIC GATE FAILED: delta-attributed work regressed "
+                   "\nASYMPTOTIC GATE FAILED: delta-attributed work or GC "
+                   "releases regressed "
                    ">%.0f%% vs %s.\nIf the regression is intended (e.g. an "
                    "accounting change), re-baseline with --write-baseline and "
                    "commit the new file.\n",
